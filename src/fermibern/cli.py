@@ -11,7 +11,8 @@ Subcommands:
                            or ALL)
 
 Exit codes: 0 success, 1 at least one identity comparison failed
-(as-printed failures are tolerated under --expect-typos), 2 bad usage.
+(as-printed failures are tolerated under --expect-typos), 2 bad usage,
+an unwritable --out path, or a requested suite that swept no rows.
 Polynomials are entered as comma-separated rational coefficients, lowest
 degree first: "0, 1" is x, "1, -2, 1" is (1-x)^2.
 """
@@ -60,12 +61,16 @@ def _check_odd_prime_arg(parser: argparse.ArgumentParser, p: int) -> int:
     return p
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+def _emit(parser: argparse.ArgumentParser, text: str,
+          out_path: Optional[str]) -> None:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {out_path!r}: {exc.strerror or exc}")
 
 
 def _params_text(params: dict) -> str:
@@ -79,6 +84,22 @@ def _params_text(params: dict) -> str:
 
 
 _TABLE_FAIL_CAP = 25
+
+
+def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> tuple[bool, str]:
+    """Whether the run passes, and the `result:` line that says so."""
+    bad_corrected = bad_printed = 0
+    for r in reports:
+        if not r.equal:
+            if r.variant == CORRECTED:
+                bad_corrected += 1
+            else:
+                bad_printed += 1
+    ok = bad_corrected == 0 and (bad_printed == 0 or expect_typos)
+    detail = f"{len(reports)} comparisons, {bad_corrected + bad_printed} unequal"
+    if bad_printed and expect_typos and not bad_corrected:
+        detail += " (all in as-printed variants, expected)"
+    return ok, f"result: {'PASS' if ok else 'FAIL'} ({detail})"
 
 
 def render_verify_table(reports: Sequence[IdentityReport],
@@ -110,14 +131,7 @@ def render_verify_table(reports: Sequence[IdentityReport],
             if count > _TABLE_FAIL_CAP:
                 lines.append(f"  ... and {count - _TABLE_FAIL_CAP} more failures "
                              f"in {sid}")
-    bad_corrected = sum(1 for r in failures if r.variant == CORRECTED)
-    bad_printed = len(failures) - bad_corrected
-    ok = bad_corrected == 0 and (bad_printed == 0 or expect_typos)
-    verdict = "PASS" if ok else "FAIL"
-    detail = f"{len(reports)} comparisons, {len(failures)} unequal"
-    if bad_printed and expect_typos and not bad_corrected:
-        detail += " (all in as-printed variants, expected)"
-    lines.append(f"result: {verdict} ({detail})")
+    lines.append(_verdict(reports, expect_typos)[1])
     return "\n".join(lines) + "\n"
 
 
@@ -161,13 +175,13 @@ def _cmd_padic_trace(args, parser) -> int:
     p = _check_odd_prime_arg(parser, args.p)
     trace = convergence_trace(poly, p, args.n_max)
     if args.format == "csv":
-        _emit(trace.to_csv(), args.out)
+        _emit(parser, trace.to_csv(), args.out)
         return 0
     lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
     for n, s_n, gap in trace.rows:
         gap_text = "inf" if gap == float("inf") else str(gap)
         lines.append(f"{n:>3}  {str(s_n):<24} {gap_text}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(parser, "\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -178,18 +192,19 @@ def _cmd_verify(args, parser) -> int:
                              variant=args.variant)
     except ValueError as exc:
         parser.error(str(exc))
+    swept = {r.suite for r in reports}
+    empty = [sid for sid in SUITE_ORDER if sid not in swept
+             and (sid in args.suites or "ALL" in args.suites)]
+    if empty:
+        parser.error(f"empty sweep, no rows for {', '.join(empty)}")
     if args.format == "json":
-        _emit(render_verify_json(reports), args.out)
+        _emit(parser, render_verify_json(reports), args.out)
     elif args.format == "csv":
-        _emit(render_verify_csv(reports), args.out)
+        _emit(parser, render_verify_csv(reports), args.out)
     else:
-        _emit(render_verify_table(reports, args.deterministic,
-                                  args.expect_typos), args.out)
-    bad_corrected = any(not r.equal and r.variant == CORRECTED for r in reports)
-    bad_printed = any(not r.equal and r.variant == AS_PRINTED for r in reports)
-    if bad_corrected or (bad_printed and not args.expect_typos):
-        return 1
-    return 0
+        _emit(parser, render_verify_table(reports, args.deterministic,
+                                          args.expect_typos), args.out)
+    return 0 if _verdict(reports, args.expect_typos)[0] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

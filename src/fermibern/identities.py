@@ -4,7 +4,7 @@ Every entry in the catalog evaluates the alternating p-adic integral I()
 of a product of Bernstein basis polynomials in terms of Euler numbers.
 Each suite sweeps a parameter range, evaluates the catalog closed form
 with literal index and sign expressions, compares against the brute-force
-route (expand the product into monomials, integrate termwise), and emits
+route (expand the product, integrate termwise), and emits
 one `IdentityReport` per comparison.
 
 Catalog ids.  C(a,b) is the binomial coefficient, E_r the r-th Euler
@@ -57,15 +57,21 @@ T and K abbreviate the total degree and the lower index sum.
 Conventions: an empty sum is 0, and every literal sign expression is kept
 exactly as the catalog states it ((-1)^(j+2k), (-1)^(3k-j), ...) rather
 than parity-simplified; the tests check both spellings agree.
+
+A suite other than EULER is one row of `_CATALOG` (T14: one per part):
+the family of products it sweeps, its precondition and its two sides,
+each the oracle or a literal formula written once in `_F` (a {corrected,
+as-printed} pair on the typo-carrying sides); run_suites loops over it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .bernstein import bernstein_poly
 from .euler import DEFAULT_CACHE, EulerCache, euler_numbers, euler_poly
@@ -130,14 +136,18 @@ class ProductSpec:
     def poly(self) -> Poly:
         out = Poly.one()
         for k, n, m in self.factors:
-            if m:
-                out = out * _bern_power(k, n, m)
+            out = _times(out, k, n, m)
         return out
 
 
 @lru_cache(maxsize=None)
 def _bern_power(k: int, n: int, m: int) -> Poly:
     return bernstein_poly(k, n) ** m
+
+
+def _times(prod: Optional[Poly], k: int, n: int, m: int) -> Optional[Poly]:
+    """prod * B_{k,n}^m; None stays None (no product is being built)."""
+    return prod if prod is None or m == 0 else prod * _bern_power(k, n, m)
 
 
 def oracle_integral(spec: ProductSpec, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
@@ -190,311 +200,214 @@ class IdentityReport:
         return report
 
 
-_VARIANT_POS = {CORRECTED: 0, AS_PRINTED: 1}
-
-# rows are accumulated as (sort_key, report); keys start with the total
-# degree, then the remaining parameters, so "first failure" means
-# smallest product degree with lexicographic tie-breaking
-
-
-def _euler_rows(n_max: int, out: list, cache: EulerCache) -> None:
+def _euler_rows(cache: EulerCache, n_max: int = DEFAULT_EULER_N_MAX, **_) -> list:
     ev = euler_numbers(n_max, cache)
-    for n in range(2, n_max + 1, 2):
-        out.append(((n, 0), IdentityReport(
-            "EULER", {"n": n, "check": "even_zero"}, ev[n], Fraction(0))))
-    for n in range(1, n_max + 1):
-        out.append(((n, 1), IdentityReport(
-            "EULER", {"n": n, "check": "shift_two"},
-            euler_poly(n, cache)(2), 2 + ev[n])))
-    for n in range(n_max + 1):
-        den = ev[n].denominator
-        out.append(((n, 2), IdentityReport(
-            "EULER", {"n": n, "check": "dyadic_denominator"},
-            Fraction(den), Fraction(2 ** (den.bit_length() - 1)))))
+    checks = (
+        ("even_zero", range(2, n_max + 1, 2), lambda n: (ev[n], Fraction(0))),
+        ("shift_two", range(1, n_max + 1),
+         lambda n: (euler_poly(n, cache)(2), 2 + ev[n])),
+        ("dyadic_denominator", range(n_max + 1),
+         lambda n: (Fraction(ev[n].denominator),
+                    Fraction(2 ** (ev[n].denominator.bit_length() - 1)))),
+    )
+    return [((n, pos), IdentityReport("EULER", {"n": n, "check": check}, *sides(n)))
+            for pos, (check, ns, sides) in enumerate(checks) for n in ns]
 
 
-def _t1_rows(n_max: int, out: list, cache: EulerCache) -> None:
-    ev = euler_numbers(n_max, cache)
-    for n in range(1, n_max + 1):
-        lhs = oracle_integral(ProductSpec(((0, n, 1),)), cache)
-        out.append(((n,), IdentityReport("T1", {"n": n}, lhs, 2 + ev[n])))
+# -- the literal formulas ------------------------------------------------------
+
+def _alt(width: int, sign: Callable[[int], int], index: Callable[[int], int],
+         E: Sequence[Fraction]) -> Fraction:
+    """sum_{j=0}^{width} C(width, j) sign(j) E[index(j)]; 0 when width < 0."""
+    return sum((binom(width, j) * sign(j) * E[index(j)] for j in range(width + 1)),
+               Fraction(0))
 
 
-def _single_rows(n_max: int, k_max: Optional[int], wanted: set, out: dict,
-                 cache: EulerCache) -> None:
-    ev = euler_numbers(n_max, cache)
-    k_cap = n_max if k_max is None else k_max
-    for n in range(n_max + 1):
-        for k in range(min(n, k_cap) + 1):
-            key = (n, k)
-            if "P2" in wanted or "T3" in wanted:
-                lhs = integrate(bernstein_poly(k, n), cache)
-            if "P2" in wanted:
-                rhs = binom(n, k) * sum(
-                    (binom(n - k, j) * (-1) ** j * ev[k + j]
-                     for j in range(n - k + 1)), Fraction(0))
-                out["P2"].append((key, IdentityReport("P2", {"k": k, "n": n}, lhs, rhs)))
-            if k >= n:
-                continue  # T3 and C4 require k < n
-            if k == 0:
-                bracket = 2 + ev[n]
-            else:
-                bracket = sum((binom(k, j) * (-1) ** (k - j) * ev[n - j]
-                               for j in range(k + 1)), Fraction(0))
-            if "T3" in wanted:
-                out["T3"].append((key, IdentityReport(
-                    "T3", {"k": k, "n": n}, lhs, binom(n, k) * bracket)))
-            if "C4" in wanted:
-                c4_lhs = sum((binom(n - k, j) * (-1) ** j * ev[k + j]
-                              for j in range(n - k + 1)), Fraction(0))
-                out["C4"].append((key, IdentityReport(
-                    "C4", {"k": k, "n": n}, c4_lhs, bracket)))
+# Each formula is f(E, k, s, T, K) over the Euler table E, the shared lower
+# index k (None for T14), the factor count s, the total degree T and the
+# lower index sum K; the single- and two-factor entries read n = T and
+# n + m = T.  T12's text tests k = 0, which for T12 is K = 0; its formula
+# is shared with T14(I).  None marks a row the text cannot evaluate (C13 as
+# printed reads E_{K-j} for j up to T - K).
+_F = {
+    "T1": lambda E, k, s, T, K: 2 + E[T],
+    "P2": lambda E, k, s, T, K: _alt(T - k, lambda j: (-1) ** j, lambda j: k + j, E),
+    "T3": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+        k, lambda j: (-1) ** (k - j), lambda j: T - j, E),
+    "P6": lambda E, k, s, T, K: _alt(
+        T - 2 * k, lambda j: (-1) ** j, lambda j: 2 * k + j, E),
+    "T5": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+        2 * k, lambda j: (-1) ** (j + 2 * k), lambda j: T - j, E),
+    "C9": lambda E, k, s, T, K: _alt(
+        T - 3 * k, lambda j: (-1) ** j, lambda j: 3 * k + j, E),
+    "T8": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+        3 * k, lambda j: (-1) ** (3 * k - j), lambda j: T - j, E),
+    "C11": lambda E, k, s, T, K: _alt(
+        T - s * k, lambda j: (-1) ** j, lambda j: s * k + j, E),
+    "T10": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+        s * k, lambda j: (-1) ** (s * k - j), lambda j: T - j, E),
+    "T12": lambda E, k, s, T, K: 2 + E[T] if K == 0 else _alt(
+        K, lambda j: (-1) ** (K - j), lambda j: T - j, E),
+    "C13": lambda E, k, s, T, K: _alt(T - K, lambda j: (-1) ** j, lambda j: K + j, E),
+    "C13 as printed": lambda E, k, s, T, K: None if T - K > K else _alt(
+        T - K, lambda j: (-1) ** j, lambda j: K - j, E),
+    "T14 as printed": lambda E, k, s, T, K: 2 + E[T] if K == 0 else _alt(
+        K, lambda j: (-1) ** (K - j), lambda j: T - K, E),
+}
 
 
-def _two_rows(deg_max: int, k_max: Optional[int], wanted: set, out: dict,
-              cache: EulerCache) -> None:
-    ev = euler_numbers(2 * deg_max, cache)
-    k_cap = deg_max if k_max is None else k_max
-    for n in range(deg_max + 1):
-        for m in range(n, deg_max + 1):
-            for k in range(k_cap + 1):
-                key = (n + m, k, n, m)
-                params = {"k": k, "n": n, "m": m}
-                pref = binom(n, k) * binom(m, k)
-                need_oracle = "T5" in wanted or "P6" in wanted
-                if need_oracle:
-                    if k <= n:
-                        lhs = integrate(bernstein_poly(k, n) * bernstein_poly(k, m),
-                                        cache)
-                    else:
-                        lhs = Fraction(0)  # first factor is the zero polynomial
-                if "P6" in wanted:
-                    rhs = pref * sum(
-                        (binom(n + m - 2 * k, j) * (-1) ** j * ev[2 * k + j]
-                         for j in range(n + m - 2 * k + 1)), Fraction(0))
-                    out["P6"].append((key, IdentityReport("P6", params, lhs, rhs)))
-                if n + m <= 2 * k:
-                    continue  # T5 and C7 require n + m > 2k
-                if k == 0:
-                    bracket = 2 + ev[n + m]
-                else:
-                    bracket = sum(
-                        (binom(2 * k, j) * (-1) ** (j + 2 * k) * ev[n + m - j]
-                         for j in range(2 * k + 1)), Fraction(0))
-                if "T5" in wanted:
-                    out["T5"].append((key, IdentityReport(
-                        "T5", params, lhs, pref * bracket)))
-                if "C7" in wanted:
-                    c7_lhs = sum(
-                        (binom(n + m - 2 * k, j) * (-1) ** j * ev[2 * k + j]
-                         for j in range(n + m - 2 * k + 1)), Fraction(0))
-                    out["C7"].append((key, IdentityReport(
-                        "C7", params, c7_lhs, bracket)))
+# -- the product families --------------------------------------------------------
+# family(need_poly, **ranges) yields (key tail, params, k, factors, product):
+# factors are (k_i, n_i, m_i) triples for prod_i B_{k_i,n_i}^{m_i}, and the
+# product is None unless need_poly.  A family ignores ranges it has no use for.
+
+def _products(need_poly, ks, cands, counts, params):
+    """prod_i B_{k,n_i}^{m_i} for each k in ks and each nondecreasing run of
+    entries (n, m) of cands(k) whose length is in counts, the product grown
+    one factor per step of the run; key tail (s, k, n_i..., m_i...)."""
+    top = max(counts, default=0)
+
+    def walk(k, row, start, factors, prod):
+        if len(factors) in counts:
+            ns, ms = tuple(f[1] for f in factors), tuple(f[2] for f in factors)
+            yield (len(ns), k, ns, ms), params(k, ns, ms), k, factors, prod
+        if len(factors) < top:
+            for idx in range(start, len(row)):
+                yield from walk(k, row, idx, factors + (row[idx],),
+                                _times(prod, *row[idx]))
+
+    for k in ks:
+        yield from walk(k, [(k, n, m) for n, m in cands(k)], 0, (),
+                        Poly.one() if need_poly else None)
 
 
-def _three_rows(deg_max: int, k_max: Optional[int], wanted: set, out: dict,
-                cache: EulerCache) -> None:
-    ev = euler_numbers(3 * deg_max, cache)
-    k_cap = deg_max if k_max is None else k_max
-    for n in range(deg_max + 1):
-        for m in range(n, deg_max + 1):
-            pair_cache: dict[int, Poly] = {}
-            for s in range(m, deg_max + 1):
-                for k in range(k_cap + 1):
-                    total = n + m + s
-                    if total <= 3 * k:
-                        continue  # both entries require n + m + s > 3k
-                    key = (total, k, n, m, s)
-                    params = {"k": k, "n": n, "m": m, "s": s}
-                    if k <= n:
-                        if k not in pair_cache:
-                            pair_cache[k] = (bernstein_poly(k, n)
-                                             * bernstein_poly(k, m))
-                        lhs = integrate(pair_cache[k] * bernstein_poly(k, s),
-                                        cache)
-                    else:
-                        lhs = Fraction(0)
-                    pref = binom(n, k) * binom(m, k) * binom(s, k)
-                    if k == 0:
-                        bracket = 2 + ev[total]
-                    else:
-                        bracket = sum(
-                            (binom(3 * k, j) * (-1) ** (3 * k - j) * ev[total - j]
-                             for j in range(3 * k + 1)), Fraction(0))
-                    if "T8" in wanted:
-                        out["T8"].append((key, IdentityReport(
-                            "T8", params, lhs, pref * bracket)))
-                    if "C9" in wanted:
-                        width = total - 3 * k
-                        c9_lhs = sum(
-                            (binom(width, j) * (-1) ** j * ev[3 * k + j]
-                             for j in range(width + 1)), Fraction(0))
-                        out["C9"].append((key, IdentityReport(
-                            "C9", params, c9_lhs, bracket)))
+def _ladder(need_poly, n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
+    return _products(need_poly, (0,), lambda k: [(n, 1) for n in range(1, n_max + 1)],
+                     (1,), lambda k, ns, ms: {"n": ns[0]})
 
 
-def _sfold_rows(s_max: int, n_max: int, k_max: int, wanted: set, out: dict,
-                cache: EulerCache) -> None:
-    ev = euler_numbers(s_max * n_max, cache)
-
-    def emit(k: int, degrees: tuple[int, ...], prod: Poly) -> None:
-        s = len(degrees)
-        total = sum(degrees)
-        if total <= s * k:
-            return  # both entries require sum n_i > s k
-        key = (total, s, k, degrees)
-        params = {"k": k, "s": s, "n": list(degrees)}
-        pref = 1
-        for n in degrees:
-            pref *= binom(n, k)
-        if k == 0:
-            bracket = 2 + ev[total]
-        else:
-            bracket = sum(
-                (binom(s * k, j) * (-1) ** (s * k - j) * ev[total - j]
-                 for j in range(s * k + 1)), Fraction(0))
-        if "T10" in wanted:
-            out["T10"].append((key, IdentityReport(
-                "T10", params, integrate(prod, cache), pref * bracket)))
-        if "C11" in wanted:
-            width = total - s * k
-            lhs = sum((binom(width, j) * (-1) ** j * ev[s * k + j]
-                       for j in range(width + 1)), Fraction(0))
-            out["C11"].append((key, IdentityReport("C11", params, lhs, bracket)))
-
-    def walk(k: int, start: int, degrees: tuple[int, ...], prod: Poly) -> None:
-        if degrees:
-            emit(k, degrees, prod)
-        if len(degrees) == s_max:
-            return
-        for n in range(start, n_max + 1):
-            walk(k, n, degrees + (n,), prod * bernstein_poly(k, n))
-
-    for k in range(k_max + 1):
-        walk(k, 0, (), Poly.one())
+def _fixed(count: int, n_default: int, names: tuple, lo=lambda k: 0):
+    """`count` factors B_{k,n}, lo(k) <= n <= n_max, k <= k_max (default n_max)."""
+    def family(need_poly, n_max=n_default, k_max=None, **_):
+        return _products(need_poly, range((n_max if k_max is None else k_max) + 1),
+                         lambda k: [(n, 1) for n in range(lo(k), n_max + 1)], (count,),
+                         lambda k, ns, ms: dict(zip(names, (k,) + ns)))
+    return family
 
 
-def _mult_rows(s_max: int, n_max: int, m_max: int, k_max: int, wanted: set,
-               variants: tuple[str, ...], out: dict, cache: EulerCache) -> None:
-    ev = euler_numbers(s_max * n_max * m_max, cache)
+_single = _fixed(1, DEFAULT_SINGLE_N_MAX, ("k", "n"), lo=lambda k: k)  # P2, T3, C4
+_two = _fixed(2, DEFAULT_TWO_DEG_MAX, ("k", "n", "m"))                  # T5, P6, C7
+_three = _fixed(3, DEFAULT_THREE_DEG_MAX, ("k", "n", "m", "s"))         # T8, C9
+
+
+def _sfold(need_poly, n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
+           s_max=DEFAULT_SFOLD_S_MAX, **_):                             # T10, C11
+    return _products(need_poly, range(k_max + 1),
+                     lambda k: [(n, 1) for n in range(n_max + 1)], range(1, s_max + 1),
+                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns)})
+
+
+def _mult(need_poly, n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
+          s_max=DEFAULT_SFOLD_S_MAX, m_max=DEFAULT_MULT_M_MAX, **_):   # T12, C13
     cands = [(n, m) for n in range(n_max + 1) for m in range(1, m_max + 1)]
-
-    def emit(k: int, factors: tuple[tuple[int, int], ...], prod: Poly) -> None:
-        s = len(factors)
-        total = sum(n * m for n, m in factors)
-        mult_sum = sum(m for _, m in factors)
-        kk = k * mult_sum
-        if total <= kk:
-            return  # T12 and C13 require sum n_i m_i > k sum m_i
-        degrees = tuple(n for n, _ in factors)
-        mults = tuple(m for _, m in factors)
-        base_key = (total, s, k, degrees, mults)
-        params = {"k": k, "s": s, "n": list(degrees), "m": list(mults)}
-        if k == 0:
-            bracket = 2 + ev[total]
-        else:
-            bracket = sum(
-                (binom(kk, j) * (-1) ** (kk - j) * ev[total - j]
-                 for j in range(kk + 1)), Fraction(0))
-        if "T12" in wanted:
-            pref = 1
-            for n, m in factors:
-                pref *= binom(n, k) ** m
-            out["T12"].append((base_key, IdentityReport(
-                "T12", params, integrate(prod, cache), pref * bracket)))
-        if "C13" in wanted:
-            width = total - kk
-            for variant in variants:
-                if variant == CORRECTED:
-                    lhs = sum((binom(width, j) * (-1) ** j * ev[kk + j]
-                               for j in range(width + 1)), Fraction(0))
-                else:
-                    if width > kk:
-                        continue  # E_{kk-j} hits a negative index: not evaluable
-                    lhs = sum((binom(width, j) * (-1) ** j * ev[kk - j]
-                               for j in range(width + 1)), Fraction(0))
-                out["C13"].append((base_key + (_VARIANT_POS[variant],),
-                                   IdentityReport("C13", params, lhs, bracket,
-                                                  variant)))
-
-    def walk(k: int, start: int, factors: tuple[tuple[int, int], ...],
-             prod: Poly) -> None:
-        if factors:
-            emit(k, factors, prod)
-        if len(factors) == s_max:
-            return
-        for idx in range(start, len(cands)):
-            n, m = cands[idx]
-            walk(k, idx, factors + ((n, m),), prod * _bern_power(k, n, m))
-
-    for k in range(k_max + 1):
-        walk(k, 0, (), Poly.one())
+    return _products(need_poly, range(k_max + 1), lambda k: cands, range(1, s_max + 1),
+                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns),
+                                        "m": list(ms)})
 
 
-def _full_rows(n_max: int, m_max: int, wanted: set,
-               variants: tuple[str, ...], out: dict, cache: EulerCache) -> None:
-    ev = euler_numbers(n_max * (n_max + 1) * m_max, cache)
-
-    def emit(n: int, mults: tuple[int, ...], prod: Poly) -> None:
-        total = n * sum(mults)
-        kk = sum(i * m for i, m in enumerate(mults))
-        base_key = (total, n, mults)
-        pref = 1
-        for i, m in enumerate(mults):
-            pref *= binom(n, i) ** m
-        width = total - kk
-        expanded = sum((binom(width, j) * (-1) ** j * ev[kk + j]
-                        for j in range(width + 1)), Fraction(0))
-        if "T14" in wanted:
-            lhs = integrate(prod, cache)
-            out["T14"].append((base_key + (0, 0), IdentityReport(
-                "T14", {"n": n, "m": list(mults), "part": "II"},
-                lhs, pref * expanded)))
-            if total > kk:
-                params = {"n": n, "m": list(mults), "part": "I"}
-                for variant in variants:
-                    if kk == 0:
-                        rhs = 2 + ev[total]
-                    elif variant == CORRECTED:
-                        rhs = pref * sum(
-                            (binom(kk, j) * (-1) ** (kk - j) * ev[total - j]
-                             for j in range(kk + 1)), Fraction(0))
-                    else:
-                        rhs = pref * sum(
-                            (binom(kk, j) * (-1) ** (kk - j) * ev[total - kk]
-                             for j in range(kk + 1)), Fraction(0))
-                    out["T14"].append((base_key + (1, _VARIANT_POS[variant]),
-                                       IdentityReport("T14", params, lhs, rhs,
-                                                      variant)))
-        if "C15" in wanted and total > kk:
-            params = {"n": n, "m": list(mults)}
-            for variant in variants:
-                if kk == 0:
-                    rhs = 2 + ev[total]
-                elif variant == CORRECTED:
-                    rhs = sum((binom(kk, j) * (-1) ** (kk - j) * ev[total - j]
-                               for j in range(kk + 1)), Fraction(0))
-                else:
-                    rhs = sum((binom(kk, j) * (-1) ** (kk - j) * ev[total - kk]
-                               for j in range(kk + 1)), Fraction(0))
-                out["C15"].append((base_key + (0, _VARIANT_POS[variant]),
-                                   IdentityReport("C15", params, expanded, rhs,
-                                                  variant)))
-
-    def walk(n: int, i: int, mults: tuple[int, ...], prod: Poly) -> None:
+def _full(need_poly, n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
+    """T14, C15: prod_{i=0}^{n} B_{i,n}^{m_i}, one lower index per factor."""
+    def walk(n, factors, prod):
+        i = len(factors)
         if i > n:
-            emit(n, mults, prod)
+            ms = tuple(m for _, _, m in factors)
+            yield (n, ms), {"n": n, "m": list(ms)}, None, factors, prod
             return
         for m in range(m_max + 1):
-            walk(n, i + 1, mults + (m,),
-                 prod if m == 0 else prod * _bern_power(i, n, m))
+            yield from walk(n, factors + ((i, n, m),), _times(prod, i, n, m))
 
     for n in range(n_max + 1):
-        walk(n, 0, (), Poly.one())
+        yield from walk(n, (), Poly.one() if need_poly else None)
 
 
-def _pick(value: Optional[int], default: int) -> int:
-    return default if value is None else value
+# -- the catalog -------------------------------------------------------------------
+
+_ORACLE = "oracle"
+
+
+class _Suite(NamedTuple):
+    """One catalog suite.  A side is _ORACLE, a formula of `_F` or a
+    {CORRECTED: formula, AS_PRINTED: formula} pair.  Against the oracle the
+    right side is scaled by prod_i C(n_i,k_i)^{m_i} (1 for T1)."""
+    sid: str
+    family: Callable
+    strict: bool              # requires T > K (k < n, n + m > 2k, ...)
+    lhs: object
+    rhs: object
+    part: Optional[str] = None
+
+
+_CATALOG = (
+    _Suite("T1", _ladder, False, _ORACLE, _F["T1"]),
+    _Suite("P2", _single, False, _ORACLE, _F["P2"]),
+    _Suite("T3", _single, True, _ORACLE, _F["T3"]),
+    _Suite("C4", _single, True, _F["P2"], _F["T3"]),
+    _Suite("T5", _two, True, _ORACLE, _F["T5"]),
+    _Suite("P6", _two, False, _ORACLE, _F["P6"]),
+    _Suite("C7", _two, True, _F["P6"], _F["T5"]),
+    _Suite("T8", _three, True, _ORACLE, _F["T8"]),
+    _Suite("C9", _three, True, _F["C9"], _F["T8"]),
+    _Suite("T10", _sfold, True, _ORACLE, _F["T10"]),
+    _Suite("C11", _sfold, True, _F["C11"], _F["T10"]),
+    _Suite("T12", _mult, True, _ORACLE, _F["T12"]),
+    _Suite("C13", _mult, True,
+           {CORRECTED: _F["C13"], AS_PRINTED: _F["C13 as printed"]}, _F["T12"]),
+    # part II sorts before part I: the catalog position is part of the key
+    _Suite("T14", _full, False, _ORACLE, _F["C13"], "II"),
+    _Suite("T14", _full, True, _ORACLE,
+           {CORRECTED: _F["T12"], AS_PRINTED: _F["T14 as printed"]}, "I"),
+    _Suite("C15", _full, True, _F["C13"],
+           {CORRECTED: _F["T12"], AS_PRINTED: _F["T14 as printed"]}),
+)
+
+
+def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
+    """Compare both sides of each row on each case of one family; the
+    oracle is integrated at most once per case."""
+    E: list = []
+    memo: dict = {}
+
+    def literal(f, args):  # memoized on (formula, k, s, T, K)
+        if (f,) + args not in memo:
+            memo[(f,) + args] = f(E, *args)
+        return memo[(f,) + args]
+
+    for tail, params, k, factors, prod in cases:
+        T = sum(n * m for _, n, m in factors)
+        K = sum(i * m for i, _, m in factors)
+        args = (k, len(factors), T, K)
+        if T >= len(E):  # no literal index exceeds T
+            E = euler_numbers(T, cache)
+        oracle = None
+        for ri, row, row_variants in rows:
+            if row.strict and T <= K:
+                continue
+            row_params = params if row.part is None else {**params, "part": row.part}
+            for variant in row_variants:
+                lhs, rhs = (x[variant] if isinstance(x, dict) else x
+                            for x in (row.lhs, row.rhs))
+                right = literal(rhs, args)
+                if lhs is not _ORACLE:
+                    left = literal(lhs, args)
+                else:
+                    if oracle is None:
+                        oracle = integrate(prod, cache)
+                    left = oracle
+                    right = math.prod(binom(n, i) ** m for i, n, m in factors) * right
+                if left is not None:
+                    out[row.sid].append(((T,) + tail + (ri, variant != CORRECTED),
+                                         IdentityReport(row.sid, row_params, left, right,
+                                                        variant)))
 
 
 def run_suites(ids: Union[str, Sequence[str]], *,
@@ -523,52 +436,29 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     if variant not in (CORRECTED, AS_PRINTED, BOTH):
         raise ValueError(f"unknown variant {variant!r}")
     variants = (CORRECTED, AS_PRINTED) if variant == BOTH else (variant,)
-    wanted: list[str] = []
     for sid in ids:
-        if sid == "ALL":
-            wanted.extend(s for s in SUITE_ORDER if s not in wanted)
-            continue
-        if sid not in SUITE_ORDER:
+        if sid != "ALL" and sid not in SUITE_ORDER:
             raise ValueError(f"unknown suite id {sid!r}")
-        if sid not in wanted:
-            wanted.append(sid)
-    wset = set(wanted)
-    out: dict[str, list] = {sid: [] for sid in wanted}
+    out: dict[str, list] = {sid: [] for sid in SUITE_ORDER
+                            if sid in ids or "ALL" in ids}
+    ranges = {name: value for name, value in zip(("n_max", "k_max", "s_max", "m_max"),
+                                                 (n_max, k_max, s_max, m_max))
+              if value is not None}
+    if "EULER" in out:
+        out["EULER"] = _euler_rows(cache, **ranges)
 
-    if "EULER" in wset:
-        _euler_rows(_pick(n_max, DEFAULT_EULER_N_MAX), out["EULER"], cache)
-    if "T1" in wset:
-        _t1_rows(_pick(n_max, DEFAULT_SINGLE_N_MAX), out["T1"], cache)
-    if wset & {"P2", "T3", "C4"}:
-        _single_rows(_pick(n_max, DEFAULT_SINGLE_N_MAX), k_max,
-                     wset & {"P2", "T3", "C4"}, out, cache)
-    if wset & {"T5", "P6", "C7"}:
-        _two_rows(_pick(n_max, DEFAULT_TWO_DEG_MAX), k_max,
-                  wset & {"T5", "P6", "C7"}, out, cache)
-    if wset & {"T8", "C9"}:
-        _three_rows(_pick(n_max, DEFAULT_THREE_DEG_MAX), k_max,
-                    wset & {"T8", "C9"}, out, cache)
-    if wset & {"T10", "C11"}:
-        _sfold_rows(_pick(s_max, DEFAULT_SFOLD_S_MAX),
-                    _pick(n_max, DEFAULT_SFOLD_N_MAX),
-                    _pick(k_max, DEFAULT_SFOLD_K_MAX),
-                    wset & {"T10", "C11"}, out, cache)
-    if wset & {"T12", "C13"}:
-        _mult_rows(_pick(s_max, DEFAULT_SFOLD_S_MAX),
-                   _pick(n_max, DEFAULT_SFOLD_N_MAX),
-                   _pick(m_max, DEFAULT_MULT_M_MAX),
-                   _pick(k_max, DEFAULT_SFOLD_K_MAX),
-                   wset & {"T12", "C13"}, variants, out, cache)
-    if wset & {"T14", "C15"}:
-        _full_rows(_pick(n_max, DEFAULT_FULL_N_MAX),
-                   _pick(m_max, DEFAULT_FULL_M_MAX),
-                   wset & {"T14", "C15"}, variants, out, cache)
+    families: dict[Callable, list] = {}
+    for ri, row in enumerate(_CATALOG):
+        if row.sid in out:
+            paired = isinstance(row.lhs, dict) or isinstance(row.rhs, dict)
+            families.setdefault(row.family, []).append(
+                (ri, row, variants if paired else (CORRECTED,)))
+    for family, rows in families.items():
+        need_poly = any(row.lhs is _ORACLE for _, row, _ in rows)
+        _sweep(family(need_poly, **ranges), rows, cache, out)
 
     reports: list[IdentityReport] = []
-    for sid in SUITE_ORDER:
-        if sid not in out:
-            continue
-        rows = out[sid]
+    for rows in out.values():
         rows.sort(key=lambda item: item[0])
         reports.extend(r for _, r in rows)
     return reports

@@ -152,6 +152,9 @@ class TestVerify:
         IdentityReport.from_json(lines[0])
 
 
+MISSING_DIR_OUT = "<missing-dir>/out"
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["euler", "-1"],
@@ -162,11 +165,29 @@ class TestUsageErrors:
         ["verify", "T99"],
         ["verify", "T1", "--variant", "fixed"],
         [],
+        ["verify", "T1", "--out", MISSING_DIR_OUT],
+        ["padic-trace", "0,1", "3", "2", "--out", MISSING_DIR_OUT],
+        ["verify", "T1", "--n-max", "0"],
+        ["verify", "C13", "--variant", "as-printed", "--k-max", "0"],
     ])
-    def test_exit_code_two(self, argv, capsys):
+    def test_exit_code_two(self, argv, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "out"
+        argv = [str(out_path) if a == MISSING_DIR_OUT else a for a in argv]
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert not out_path.parent.exists()
+
+    def test_empty_sweep_names_the_empty_suites(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "T1", "T3", "C13", "--n-max", "0", "--k-max", "0"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "empty sweep" in err
+        assert "T1, T3, C13" in err
 
 
 def test_module_entry_point():

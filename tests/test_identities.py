@@ -1,10 +1,13 @@
 """Tests for the identity catalog: reports, sweeps, counterexamples."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from fermibern import identities
+from fermibern.cli import render_verify_json, render_verify_table
 from fermibern import (
     AS_PRINTED,
     CORRECTED,
@@ -351,3 +354,62 @@ class TestRunSuites:
         checks = {r.params["check"] for r in reports}
         assert checks == {"even_zero", "shift_two", "dyadic_denominator"}
         assert all(r.equal for r in reports)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestCatalogEngine:
+    def test_full_audit_is_byte_identical_to_the_reference(self):
+        # the reference digests of `verify ALL --variant both --deterministic`
+        # rendered as json, and as a table with --expect-typos
+        reports = run_suites("ALL", variant="both")
+        assert _sha256(render_verify_json(reports)) == (
+            "a8af3dfa1a138a85bb247949e98818f2feec2ba47e20f37c8ebf83085a686e6d")
+        assert _sha256(render_verify_table(reports, deterministic=True,
+                                           expect_typos=True)) == (
+            "7cf090d2752db93d886d1660ab562e1e9ca59e37bac1b69ad28e0b961a5a0276")
+
+    def test_c13_alone_never_multiplies_polynomials(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("C13 compares two closed forms; no product needed")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__rmul__", refuse)
+        reports = run_suites(["C13"])
+        assert reports
+        assert all(r.equal for r in reports)
+
+
+class _ShiftedTable:
+    """The Euler table read one index up, or one down at the top end, so a
+    shifted index never leaves the table and never wraps around."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, i):
+        assert 0 <= i < len(self.table), i
+        return self.table[i + 1] if i + 1 < len(self.table) else self.table[i - 1]
+
+
+def _shifted(side):
+    if isinstance(side, dict):  # a typo-carrying pair: break the corrected form
+        return {**side, CORRECTED: _shifted(side[CORRECTED])}
+    return lambda E, *args: side(_ShiftedTable(E), *args)
+
+
+FAULT_RANGES = dict(n_max=4, k_max=2, s_max=2, m_max=2)  # inside every default
+
+
+@pytest.mark.parametrize("sid", SUITE_ORDER[1:])
+def test_injected_index_fault_is_caught(sid, monkeypatch):
+    assert find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES) is None
+    row = next(r for r in identities._CATALOG if r.sid == sid)
+    broken = row._replace(rhs=_shifted(row.rhs))
+    monkeypatch.setattr(identities, "_CATALOG", tuple(
+        broken if r is row else r for r in identities._CATALOG))
+    bad = find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES)
+    assert bad is not None
+    assert bad.suite == sid and bad.variant == CORRECTED
