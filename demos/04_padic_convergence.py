@@ -3,9 +3,9 @@ Watching the alternating sums converge p-adically
 =================================================
 
 S_N = sum_{x < p^N} (-1)^x f(x) approaches I(f) in the p-adic metric:
-the valuation of the error grows at least linearly in N.  The sums are
-exact big integers scaled by one common denominator, so the reported
-valuations are exact too.
+the valuation of the error grows at least linearly in N.  Each S_N is
+an exact rational, (I(f) + I(f(x+p^N)))/2 by the shift equation, so the
+reported valuations are exact too.
 """
 
 from fractions import Fraction

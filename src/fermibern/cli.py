@@ -33,7 +33,6 @@ from .exactnum import Poly
 from .fermint import convergence_trace, integrate
 from .identities import (AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER,
                          IdentityReport, run_suites)
-from .padic import is_prime
 
 __all__ = ["main", "build_parser"]
 
@@ -53,12 +52,6 @@ def _parse_poly(parser: argparse.ArgumentParser, text: str) -> Poly:
         return Poly.from_coeff_string(text)
     except (ValueError, ZeroDivisionError) as exc:
         parser.error(f"bad polynomial {text!r}: {exc}")
-
-
-def _check_odd_prime_arg(parser: argparse.ArgumentParser, p: int) -> int:
-    if p == 2 or not is_prime(p):
-        parser.error(f"p must be an odd prime, got {p}")
-    return p
 
 
 def _emit(parser: argparse.ArgumentParser, text: str,
@@ -172,16 +165,19 @@ def _cmd_integrate(args, parser) -> int:
 
 def _cmd_padic_trace(args, parser) -> int:
     poly = _parse_poly(parser, args.poly)
-    p = _check_odd_prime_arg(parser, args.p)
-    trace = convergence_trace(poly, p, args.n_max)
-    if args.format == "csv":
-        _emit(parser, trace.to_csv(), args.out)
-        return 0
-    lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
-    for n, s_n, gap in trace.rows:
-        gap_text = "inf" if gap == float("inf") else str(gap)
-        lines.append(f"{n:>3}  {str(s_n):<24} {gap_text}")
-    _emit(parser, "\n".join(lines) + "\n", args.out)
+    # a bad p, or an S_N too long for int-to-str conversion, is bad usage
+    try:
+        trace = convergence_trace(poly, args.p, args.n_max)
+        if args.format == "csv":
+            text = trace.to_csv()
+        else:
+            lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
+            lines.extend(f"{n:>3}  {str(s_n):<24} {gap}"
+                         for n, s_n, gap in trace.rows)
+            text = "\n".join(lines) + "\n"
+    except ValueError as exc:
+        parser.error(str(exc))
+    _emit(parser, text, args.out)
     return 0
 
 

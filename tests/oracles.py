@@ -4,7 +4,8 @@ Nothing here touches the production code paths: Euler numbers come from
 term-by-term inversion of the exponential series of (e^t + 1)/2, modular
 inverses from the extended Euclidean algorithm, partial sums from a
 direct Fraction loop.  Agreement between these and the package is the
-point of most tests.
+point of most tests.  The package gets S_N from the shift equation, so
+`alternating_sum` is the only plain O(p^N) route to it.
 """
 
 from __future__ import annotations

@@ -69,6 +69,13 @@ class TestPadicTrace:
         assert code == 0
         assert out.splitlines()[1].split() == ["1", "5", "inf"]
 
+    def test_deep_trace_is_cheap(self, capsys):
+        code, out = run_cli(capsys, "padic-trace", "0,1", "7", "12")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 13
+        assert lines[-1] == " 12  6920643600               12"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "trace.csv"
         code, out = run_cli(capsys, "padic-trace", "0,1", "3", "2",
@@ -167,6 +174,7 @@ class TestUsageErrors:
         [],
         ["verify", "T1", "--out", MISSING_DIR_OUT],
         ["padic-trace", "0,1", "3", "2", "--out", MISSING_DIR_OUT],
+        ["padic-trace", "0,0,0,0,0,0,0,0,0,0,1", "1000003", "80"],
         ["verify", "T1", "--n-max", "0"],
         ["verify", "C13", "--variant", "as-printed", "--k-max", "0"],
     ])

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermibern import (
     PadicApprox,
@@ -81,6 +83,17 @@ class TestReflectedArguments:
             integrate_reflected(0)
 
 
+@st.composite
+def partial_sum_cases(draw):
+    """(f, p, N): deg f <= 6, p in {3, 5, 7}, p^N <= 343, and coefficient
+    denominators that may carry powers of p (f need not be p-integral)."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    N = draw(st.integers(0, {3: 5, 5: 3, 7: 3}[p]))
+    coeff = st.builds(lambda num, den, e: Fraction(num, den * p**e),
+                      st.integers(-30, 30), st.integers(1, 8), st.integers(0, 2))
+    return Poly(draw(st.lists(coeff, max_size=7))), p, N
+
+
 class TestPartialSums:
     def test_frozen(self):
         assert partial_sum(Poly.x(), 3, 1) == 1
@@ -102,6 +115,12 @@ class TestPartialSums:
         # N = 0 sums a single term, x = 0
         f = Poly([7, 1])
         assert partial_sum(f, 5, 0) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(partial_sum_cases())
+    def test_matches_direct_loop_on_random_polys(self, case):
+        f, p, N = case
+        assert partial_sum(f, p, N) == alternating_sum(f.coeffs, p, N)
 
 
 class TestConvergenceTraces:
@@ -125,6 +144,16 @@ class TestConvergenceTraces:
             # recheck against a from-scratch partial sum
             assert S == alternating_sum((0, 0, 0, 1), 3, N)
             assert vp(S - euler_number(3), 3) == gap
+
+    def test_deep_trace_of_x(self):
+        # S_N(x) = (p^N - 1)/2 and E_1 = -1/2, so S_N - E_1 = p^N / 2;
+        # a loop over x < 7^12 would take about 1.4e10 steps
+        p = 7
+        trace = convergence_trace(Poly.x(), p, 12)
+        assert trace.rows == tuple((N, Fraction(p**N - 1, 2), N)
+                                   for N in range(1, 13))
+        for N in range(1, 13):
+            assert partial_sum(Poly.x(), p, N) == Fraction(p**N - 1, 2)
 
     def test_csv_format(self):
         trace = convergence_trace(Poly.x(), 3, 2)
