@@ -25,7 +25,7 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .bernstein import bernstein_poly
 from .euler import euler_number, euler_poly
@@ -79,43 +79,55 @@ def _params_text(params: dict) -> str:
 _TABLE_FAIL_CAP = 25
 
 
-def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> tuple[bool, str]:
-    """Whether the run passes, and the `result:` line that says so."""
-    bad_corrected = bad_printed = 0
+class _Verdict(NamedTuple):
+    """One pass over the reports: what the table and the exit code need."""
+    ok: bool
+    line: str                    # the `result:` line
+    counts: dict                 # suite -> [checks, failures]
+    failures: list               # the unequal reports, in report order
+
+
+def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> _Verdict:
+    """Whether the run passes and the `result:` line that says so, with the
+    per-suite counts and the failures the table lists, in one pass."""
+    counts: dict[str, list[int]] = {}
+    failures = []
+    bad_corrected = 0
     for r in reports:
+        count = counts.setdefault(r.suite, [0, 0])
+        count[0] += 1
         if not r.equal:
-            if r.variant == CORRECTED:
-                bad_corrected += 1
-            else:
-                bad_printed += 1
+            count[1] += 1
+            failures.append(r)
+            bad_corrected += r.variant == CORRECTED
+    bad_printed = len(failures) - bad_corrected
     ok = bad_corrected == 0 and (bad_printed == 0 or expect_typos)
-    detail = f"{len(reports)} comparisons, {bad_corrected + bad_printed} unequal"
+    detail = f"{len(reports)} comparisons, {len(failures)} unequal"
     if bad_printed and expect_typos and not bad_corrected:
         detail += " (all in as-printed variants, expected)"
-    return ok, f"result: {'PASS' if ok else 'FAIL'} ({detail})"
+    return _Verdict(ok, f"result: {'PASS' if ok else 'FAIL'} ({detail})", counts, failures)
 
 
 def render_verify_table(reports: Sequence[IdentityReport],
-                        deterministic: bool, expect_typos: bool) -> str:
+                        deterministic: bool, expect_typos: bool,
+                        verdict: Optional[_Verdict] = None) -> str:
+    """The table; `verdict`, when given, is `_verdict(reports, expect_typos)`."""
+    if verdict is None:
+        verdict = _verdict(reports, expect_typos)
     lines = []
     if not deterministic:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines.append(f"generated: {stamp}")
     lines.append(f"{'suite':<6} {'checks':>7} {'pass':>7} {'fail':>6}")
-    by_suite: dict[str, list[IdentityReport]] = {}
-    for r in reports:
-        by_suite.setdefault(r.suite, []).append(r)
     for sid in SUITE_ORDER:
-        if sid not in by_suite:
+        if sid not in verdict.counts:
             continue
-        rows = by_suite[sid]
-        fails = sum(1 for r in rows if not r.equal)
-        lines.append(f"{sid:<6} {len(rows):>7} {len(rows) - fails:>7} {fails:>6}")
-    failures = [r for r in reports if not r.equal]
-    if failures:
+        checks, fails = verdict.counts[sid]
+        lines.append(f"{sid:<6} {checks:>7} {checks - fails:>7} {fails:>6}")
+    if verdict.failures:
         lines.append("failures:")
         shown: dict[str, int] = {}
-        for r in failures:
+        for r in verdict.failures:
             shown[r.suite] = shown.get(r.suite, 0) + 1
             if shown[r.suite] <= _TABLE_FAIL_CAP:
                 lines.append(f"  {r.suite} [{r.variant}] {_params_text(r.params)}: "
@@ -124,7 +136,7 @@ def render_verify_table(reports: Sequence[IdentityReport],
             if count > _TABLE_FAIL_CAP:
                 lines.append(f"  ... and {count - _TABLE_FAIL_CAP} more failures "
                              f"in {sid}")
-    lines.append(_verdict(reports, expect_typos)[1])
+    lines.append(verdict.line)
     return "\n".join(lines) + "\n"
 
 
@@ -193,14 +205,15 @@ def _cmd_verify(args, parser) -> int:
              and (sid in args.suites or "ALL" in args.suites)]
     if empty:
         parser.error(f"empty sweep, no rows for {', '.join(empty)}")
+    verdict = _verdict(reports, args.expect_typos)
     if args.format == "json":
         _emit(parser, render_verify_json(reports), args.out)
     elif args.format == "csv":
         _emit(parser, render_verify_csv(reports), args.out)
     else:
         _emit(parser, render_verify_table(reports, args.deterministic,
-                                          args.expect_typos), args.out)
-    return 0 if _verdict(reports, args.expect_typos)[0] else 1
+                                          args.expect_typos, verdict), args.out)
+    return 0 if verdict.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,9 +17,12 @@ and the polynomials follow from e^{xt} * 2/(e^t + 1):
 
     E_n(x) = sum_{l=0}^{n} C(n, l) E_l x^(n-l).
 
-Denominators of E_n are always powers of two, so every E_n is a p-adic
+Denominators of E_n are always powers of two: e_n = 2^n E_n is an
+integer (a signed tangent number for odd n), so every E_n is a p-adic
 integer for every odd prime p; the partial-sum evaluators in
-`fermibern.fermint` rely on that.
+`fermibern.fermint` rely on that.  `EulerCache.scaled` hands those
+integers to `fermibern.fermint.integrate`, which sums them over one
+power-of-two denominator.
 """
 
 from __future__ import annotations
@@ -43,12 +46,14 @@ __all__ = [
 class EulerCache:
     """Monotonically growing table of Euler numbers E_0..E_n.
 
-    Reads of already computed entries take no lock (the backing list is
+    Beside each E_m it keeps the integer e_m = 2^m E_m for `scaled`.
+    Reads of already computed entries take no lock (the backing lists are
     append-only), extension is serialized, so the cache is safe to share
     across threads.
     """
 
     def __init__(self) -> None:
+        self._scaled: list[int] = [1]
         self._values: list[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
 
@@ -63,7 +68,11 @@ class EulerCache:
                 m = len(self._values)
                 acc = sum(binom(m, l) * self._values[l] for l in range(m))
                 # from sum_{l<=m} C(m,l) E_l + E_m = 0, i.e. 2 E_m = -acc
-                self._values.append(-acc / 2)
+                value = -acc / 2
+                # the denominator of E_m is 2^k with k <= m
+                self._scaled.append(value.numerator << (m + 1 - value.denominator.bit_length()))
+                # _values is the one the lock-free check reads: append it last
+                self._values.append(value)
 
     def value(self, n: int) -> Fraction:
         self.ensure(n)
@@ -73,6 +82,11 @@ class EulerCache:
         """E_0..E_n as a list."""
         self.ensure(n)
         return self._values[: n + 1]
+
+    def scaled(self, n: int) -> list[int]:
+        """The integers 2^j E_j for j = 0..n."""
+        self.ensure(n)
+        return self._scaled[: n + 1]
 
 
 DEFAULT_CACHE = EulerCache()

@@ -1,8 +1,10 @@
 """Exact rational polynomial arithmetic.
 
 Everything in this package runs on exact arithmetic: integers are Python
-ints, rationals are `fractions.Fraction`, and polynomials are dense
-coefficient tuples of Fractions, lowest degree first.  No floats anywhere.
+ints, rationals are `fractions.Fraction`, and polynomials are integer
+numerators over one denominator, lowest degree first, so that ring
+operations run on ints; `Poly.coeffs` still yields Fractions.  No floats
+anywhere.
 
 A rational serializes as ``str(Fraction)``: "num/den", or just "num" when
 the denominator is 1.  A polynomial serializes as its coefficient list,
@@ -12,7 +14,7 @@ lowest degree first, e.g. "1, -1" for 1 - x.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = ["Poly", "binom", "expand_pow_product"]
@@ -34,21 +36,31 @@ def binom(n: int, k: int) -> int:
 
 
 class Poly:
-    """Dense univariate polynomial over Fraction, immutable.
+    """Dense univariate polynomial with rational coefficients, immutable.
 
-    Coefficients are stored lowest degree first with trailing zeros
-    trimmed, so equal polynomials compare equal and the leading stored
-    coefficient is nonzero.  The zero polynomial stores an empty tuple
-    and reports degree -1.
+    Stored as one canonical pair: a tuple of integer numerators, lowest
+    degree first, over one positive common denominator.  Trailing zeros
+    are trimmed, so the leading stored numerator is nonzero, and the
+    denominator shares no factor with all the numerators at once, so
+    equal polynomials have equal pairs.  The zero polynomial stores an
+    empty tuple over 1 and reports degree -1.  `coeffs` gives the
+    coefficients as Fractions, built on access.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Coeff] = ()) -> None:
-        cs = [Fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fr(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._nums, self._den = _canonical(
+            [c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _from_pair(cls, nums: list[int], den: int) -> "Poly":
+        """The polynomial sum_i nums[i] x^i / den, den > 0."""
+        out = object.__new__(cls)
+        out._nums, out._den = _canonical(nums, den)
+        return out
 
     # -- construction helpers -------------------------------------------------
 
@@ -69,7 +81,7 @@ class Poly:
         """c * x**n."""
         if n < 0:
             raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * n + (Fr(c),))
+        return cls((0,) * n + (c,))
 
     @classmethod
     def from_coeff_string(cls, text: str) -> "Poly":
@@ -83,26 +95,37 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple([Fr(n, den) for n in self._nums])
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """Integer numerators over `denominator`, lowest degree first."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator, positive; 1 for integer polynomials."""
+        return self._den
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (0 beyond the stored degree)."""
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._nums):
+            return Fr(self._nums[i], self._den)
         return Fr(0)
 
     def to_coeff_string(self) -> str:
         """Inverse of from_coeff_string; the zero polynomial prints as "0"."""
-        if not self._coeffs:
+        if not self._nums:
             return "0"
-        return ", ".join(str(c) for c in self._coeffs)
+        return ", ".join(str(c) for c in self.coeffs)
 
     # -- ring operations ------------------------------------------------------
 
@@ -110,18 +133,24 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, da, b, db = self._nums, self._den, other._nums, other._den
+        if da != db:
+            den = lcm(da, db)
+            a = [n * (den // da) for n in a]
+            b = [n * (den // db) for n in b]
+        else:
+            den = da
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        for i, n in enumerate(b):
+            out[i] += n
+        return Poly._from_pair(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self._coeffs)
+        return Poly._from_pair([-n for n in self._nums], self._den)
 
     def __sub__(self, other: object) -> "Poly":
         other = _coerce(other)
@@ -139,27 +168,15 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._nums, other._nums
         if not a or not b:
             return Poly()
-        # Convolving in int and wrapping once at the end is several times
-        # faster than Fraction convolution; integer coefficients dominate
-        # the big identity sweeps (Bernstein products stay integral).
-        if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-            an = [c.numerator for c in a]
-            bn = [c.numerator for c in b]
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(an):
-                if ai:
-                    for j, bj in enumerate(bn):
-                        out[i + j] += ai * bj
-            return Poly(out)
-        outf = [Fr(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    outf[i + j] += ai * bj
-        return Poly(outf)
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return Poly._from_pair(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -180,23 +197,27 @@ class Poly:
     # -- evaluation and composition -------------------------------------------
 
     def __call__(self, x: Coeff) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
+        """Evaluate at a rational point a/b by Horner's rule in integers:
+        sum_i n_i a^i b^(d-i), then one division by den * b^d."""
         x = Fr(x)
-        acc = Fr(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for n in reversed(self._nums):
+            acc = acc * a + n * scale
+            scale *= b
+        return Fr(acc * b, self._den * scale)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), exactly, by Horner over the polynomial ring."""
+        """self(inner(x)), exactly, by Horner over the polynomial ring on
+        the numerators, then one division by the denominator."""
         acc = Poly()
-        for c in reversed(self._coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
+        for n in reversed(self._nums):
+            acc = acc * inner + n
+        return acc * Fr(1, self._den)
 
     def shifted(self, n: Coeff) -> "Poly":
         """self(x + n)."""
-        return self.compose(Poly((Fr(n), 1)))
+        return self.compose(Poly((n, 1)))
 
     def reflected(self) -> "Poly":
         """self(1 - x)."""
@@ -206,19 +227,32 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._nums == other._nums and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == Poly((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __repr__(self) -> str:
         return f"Poly([{self.to_coeff_string()}])"
+
+
+def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair of sum_i nums[i] x^i / den, den > 0."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    g = gcd(den, *nums) if den != 1 else 1
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return tuple(nums), den
 
 
 def _coerce(value: object) -> "Poly":

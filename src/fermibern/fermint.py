@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .euler import DEFAULT_CACHE, EulerCache, euler_number, euler_numbers
+from .euler import DEFAULT_CACHE, EulerCache, euler_number
 from .exactnum import Poly, expand_pow_product
 from .padic import PadicApprox, _check_odd_prime, reduce_mod, unit_inverse, vp
 
@@ -55,13 +55,17 @@ Rat = Union[int, Fraction]
 def integrate(f: Poly, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
     """I(f) = sum_j c_j E_j, exactly.
 
-    The result always has a power-of-two denominator (each E_j does), so
-    it is p-integral for every odd prime p.
+    With f = sum_j a_j x^j / den and e_j = 2^j E_j this is the one integer
+    sum_j a_j e_j 2^(d-j) over den 2^d, d the degree of f.  For integer f
+    the result has a power-of-two denominator, so it is p-integral for
+    every odd prime p.
     """
     if f.is_zero():
         return Fraction(0)
-    values = euler_numbers(f.degree, cache)
-    return sum((c * values[j] for j, c in enumerate(f.coeffs) if c), Fraction(0))
+    d = f.degree
+    e = cache.scaled(d)
+    return Fraction(sum(a * e[j] << (d - j) for j, a in enumerate(f.numerators) if a),
+                    f.denominator << d)
 
 
 def integrate_shifted(f: Poly, n: int, cache: EulerCache = DEFAULT_CACHE) -> Fraction:

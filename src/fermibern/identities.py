@@ -112,6 +112,11 @@ DEFAULT_FULL_N_MAX = 5      # T14, C15 degree
 DEFAULT_FULL_M_MAX = 2      # T14, C15 multiplicity
 DEFAULT_EULER_N_MAX = 60
 
+# T14/C15 sweep sum_{n<=n_max} (m_max+1)^(n+1) products; past this many a
+# run is refused up front (n_max = 9, m_max = 2 is 88,572 products and
+# about 20 s on a 2-CPU box; n_max = 10 would be three times that).
+FULL_PRODUCTS_MAX = 100_000
+
 
 @dataclass(frozen=True)
 class ProductSpec:
@@ -316,7 +321,18 @@ def _mult(need_poly, n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
 
 
 def _full(need_poly, n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
-    """T14, C15: prod_{i=0}^{n} B_{i,n}^{m_i}, one lower index per factor."""
+    """T14, C15: prod_{i=0}^{n} B_{i,n}^{m_i}, one lower index per factor.
+
+    Not a generator: the product count is checked when the family is made.
+    """
+    count = 0
+    for n in range(n_max + 1):
+        count += (m_max + 1) ** (n + 1)
+        if count > FULL_PRODUCTS_MAX:
+            raise ValueError(f"T14/C15 with n_max={n_max}, m_max={m_max} would sweep "
+                             f"at least {count} products, more than the "
+                             f"{FULL_PRODUCTS_MAX} allowed")
+
     def walk(n, factors, prod):
         i = len(factors)
         if i > n:
@@ -326,8 +342,8 @@ def _full(need_poly, n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
         for m in range(m_max + 1):
             yield from walk(n, factors + ((i, n, m),), _times(prod, i, n, m))
 
-    for n in range(n_max + 1):
-        yield from walk(n, (), Poly.one() if need_poly else None)
+    return (case for n in range(n_max + 1)
+            for case in walk(n, (), Poly.one() if need_poly else None))
 
 
 # -- the catalog -------------------------------------------------------------------
@@ -453,9 +469,12 @@ def run_suites(ids: Union[str, Sequence[str]], *,
             paired = isinstance(row.lhs, dict) or isinstance(row.rhs, dict)
             families.setdefault(row.family, []).append(
                 (ri, row, variants if paired else (CORRECTED,)))
-    for family, rows in families.items():
-        need_poly = any(row.lhs is _ORACLE for _, row, _ in rows)
-        _sweep(family(need_poly, **ranges), rows, cache, out)
+    # make every family before sweeping any, so that a refused range
+    # (FULL_PRODUCTS_MAX) costs nothing
+    sweeps = [(family(any(row.lhs is _ORACLE for _, row, _ in rows), **ranges), rows)
+              for family, rows in families.items()]
+    for cases, rows in sweeps:
+        _sweep(cases, rows, cache, out)
 
     reports: list[IdentityReport] = []
     for rows in out.values():

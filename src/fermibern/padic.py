@@ -60,14 +60,28 @@ def vp(x: Rat, p: int) -> Union[int, float]:
     x = Fraction(x)
     if x == 0:
         return math.inf
-    num, den = x.numerator, x.denominator
+    return _multiplicity(x.numerator, p) - _multiplicity(x.denominator, p)
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """The exponent of p in n != 0, in O(log v) divisions.
+
+    Divides by p, p^2, p^4, ... while they divide.  After k steps the
+    cofactor has valuation below 2^k, so the same powers, tried again from
+    the largest down, take off the rest one binary digit at a time.
+    """
     v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    powers = []
+    pk = p
+    while n % pk == 0:
+        n //= pk
+        v += 1 << len(powers)
+        powers.append(pk)
+        pk *= pk
+    for i in range(len(powers) - 1, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 

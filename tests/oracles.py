@@ -3,15 +3,17 @@
 Nothing here touches the production code paths: Euler numbers come from
 term-by-term inversion of the exponential series of (e^t + 1)/2, modular
 inverses from the extended Euclidean algorithm, partial sums from a
-direct Fraction loop.  Agreement between these and the package is the
-point of most tests.  The package gets S_N from the shift equation, so
-`alternating_sum` is the only plain O(p^N) route to it.
+direct Fraction loop, valuations from one division by p at a time, and
+polynomials are plain lists of Fractions, lowest degree first, with the
+schoolbook operations on them.  Agreement between these and the package
+is the point of most tests.  The package gets S_N from the shift
+equation, so `alternating_sum` is the only plain O(p^N) route to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 def euler_numbers_by_series(n_max: int) -> list[Fraction]:
@@ -66,3 +68,68 @@ def q_weighted_value(coeffs: list[Fraction], p: int, q: Fraction,
         fx = sum(c * Fraction(x) ** i for i, c in enumerate(coeffs))
         total += (-q) ** x * fx
     return total * (1 + q) / (1 + q ** (p**N))
+
+
+def vp_by_division(x: Fraction, p: int) -> int:
+    """vp of a nonzero rational, stripping one factor of p per division."""
+    num, den = x.numerator, x.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+# -- polynomials as lists of Fractions -----------------------------------------
+
+def fpoly(coeffs) -> list[Fraction]:
+    """Fractions, trailing zeros trimmed: the reference normal form."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def fpoly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return fpoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def fpoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return fpoly(out)
+
+
+def fpoly_eval(a: list[Fraction], x: Fraction) -> Fraction:
+    return sum((c * x**i for i, c in enumerate(a)), Fraction(0))
+
+
+def fpoly_shift(a: list[Fraction], n: Fraction) -> list[Fraction]:
+    """a(x + n) by the binomial theorem on each monomial."""
+    out = [Fraction(0)] * len(a)
+    for j, c in enumerate(a):
+        for i in range(j + 1):
+            out[i] += c * comb(j, i) * n ** (j - i)
+    return fpoly(out)
+
+
+def bernstein_product_integral(factors, euler: list[Fraction]) -> Fraction:
+    """I(prod B_{k,n}^m) from Fraction-list products of C(n,k) x^k (1-x)^(n-k),
+    then sum_j c_j E_j with E from `euler` (long enough for the degree)."""
+    prod = [Fraction(1)]
+    for k, n, m in factors:
+        if k > n:
+            base = []
+        else:
+            base = fpoly([0] * k + [comb(n, k) * comb(n - k, j) * (-1) ** j
+                                    for j in range(n - k + 1)])
+        for _ in range(m):
+            prod = fpoly_mul(prod, base)
+    return sum((c * euler[j] for j, c in enumerate(prod)), Fraction(0))

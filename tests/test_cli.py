@@ -4,6 +4,7 @@ import csv
 import io
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,22 @@ class TestVerify:
         assert code == 0
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_verdict_is_computed_once(self, fmt, capsys, monkeypatch):
+        # one pass over `equal` feeds the table and the exit code; json and
+        # csv also print the flag, once per row
+        evaluations = []
+        equal = IdentityReport.equal
+        monkeypatch.setattr(IdentityReport, "equal", property(
+            lambda r: evaluations.append(r) or equal.fget(r)))
+        code = main(["verify", "C13", "--variant", "both", "--n-max", "3",
+                     "--expect-typos", "--deterministic", "--format", fmt])
+        rows = len(capsys.readouterr().out.splitlines())
+        assert code == 0
+        per_row = 1 if fmt == "table" else 2
+        assert len(evaluations) == per_row * len(set(map(id, evaluations)))
+        assert rows > 3
+
     def test_json_format_roundtrips(self, capsys):
         code, out = run_cli(capsys, "verify", "T3", "--n-max", "3",
                             "--format", "json")
@@ -177,6 +194,7 @@ class TestUsageErrors:
         ["padic-trace", "0,0,0,0,0,0,0,0,0,0,1", "1000003", "80"],
         ["verify", "T1", "--n-max", "0"],
         ["verify", "C13", "--variant", "as-printed", "--k-max", "0"],
+        ["verify", "T14", "--n-max", "12"],
     ])
     def test_exit_code_two(self, argv, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out"
@@ -188,6 +206,15 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert not out_path.parent.exists()
+
+    def test_oversized_full_sweep_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "T14", "--n-max", "12"])
+        assert time.perf_counter() - start < 1.0
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "products" in err and "n_max=12" in err
 
     def test_empty_sweep_names_the_empty_suites(self, capsys):
         with pytest.raises(SystemExit) as info:

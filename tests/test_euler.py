@@ -109,6 +109,17 @@ class TestValueAtTwo:
 
 
 class TestEulerCache:
+    def test_scaled_table_against_series_oracle(self):
+        # e_j = 2^j E_j is an integer, the value the recurrence runs on
+        cache = EulerCache()
+        scaled = cache.scaled(200)
+        assert len(scaled) == 201
+        assert all(type(e) is int for e in scaled)
+        reference = euler_numbers_by_series(200)
+        assert [Fraction(e, 2**j) for j, e in enumerate(scaled)] == reference
+        assert cache.prefix(200) == reference
+        assert cache.scaled(7) == [1, -1, 0, 2, 0, -16, 0, 272]
+
     def test_prefix_matches_values(self):
         cache = EulerCache()
         pre = cache.prefix(12)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermibern.exactnum import Poly, binom, expand_pow_product
+
+from oracles import fpoly, fpoly_add, fpoly_eval, fpoly_mul, fpoly_shift
 
 
 class TestBinom:
@@ -93,7 +96,7 @@ class TestPolyRing:
         assert 1 - p == Poly([0, -1])
 
     def test_mixed_denominator_product(self):
-        # exercises both the integer fast path and the Fraction path
+        # integer numerators times numerators over 6, reduced to one pair
         a = Poly([1, 2, 3])
         b = Poly([F(1, 2), F(-1, 3)])
         assert a * b == Poly([F(1, 2), F(2, 3), F(5, 6), -1])
@@ -135,6 +138,96 @@ class TestPolyProperties:
         assert a * b == b * a
         if not a.is_zero() and not b.is_zero():
             assert (a * b).degree == a.degree + b.degree
+
+
+class TestCanonicalPair:
+    def test_frozen_pairs(self):
+        p = Poly([F(1, 2), F(-1, 3), 0])
+        assert (p.numerators, p.denominator) == ((3, -2), 6)
+        assert (Poly([4, 6]).numerators, Poly([4, 6]).denominator) == ((4, 6), 1)
+        assert (Poly.zero().numerators, Poly.zero().denominator) == ((), 1)
+        assert (Poly(["3/4", 0]).numerators, Poly(["3/4"]).denominator) == ((3,), 4)
+
+    def test_scaling_back_to_integers(self):
+        half = Poly([F(1, 2), 1])
+        assert half * 2 == Poly([1, 2])
+        assert hash(half * 2) == hash(Poly([1, 2]))
+        assert (half * 2).denominator == 1
+        assert Poly([F(1, 3), F(2, 3)]) + Poly([F(2, 3), F(1, 3)]) == Poly([1, 1])
+        assert (Poly([F(1, 3), F(2, 3)]) + Poly([F(2, 3), F(1, 3)])).denominator == 1
+
+    def test_cancellation_to_zero(self):
+        p = Poly([F(1, 6), F(5, 7)])
+        for zero in (p - p, p + (-p), p * 0, 0 * p):
+            assert zero == Poly.zero()
+            assert (zero.numerators, zero.denominator) == ((), 1)
+            assert hash(zero) == hash(Poly.zero())
+
+
+rationals = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.fractions(min_value=-9, max_value=9, max_denominator=30),
+)
+rational_lists = st.lists(rationals, max_size=7)
+
+
+def _assert_canonical(p):
+    nums, den = p.numerators, p.denominator
+    assert den >= 1
+    assert all(type(n) is int for n in nums)
+    if nums:
+        assert nums[-1] != 0
+        assert math.gcd(den, *nums) == 1
+    else:
+        assert den == 1
+    assert p.coeffs == tuple(F(n, den) for n in nums)
+
+
+class TestPolyAgainstFractionReference:
+    """Every Poly operation against schoolbook Fraction lists (tests/oracles.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_lists, rational_lists, rationals)
+    def test_ring_operations(self, ca, cb, c):
+        a, b = Poly(ca), Poly(cb)
+        ra, rb = fpoly(ca), fpoly(cb)
+        cases = [
+            (a, ra), (a + b, fpoly_add(ra, rb)), (a - b, fpoly_add(ra, [-x for x in rb])),
+            (-a, [-x for x in ra]), (a * b, fpoly_mul(ra, rb)),
+            (a * c, fpoly_mul(ra, fpoly([c]))), (c - a, fpoly_add(fpoly([c]), [-x for x in ra])),
+            (a ** 2, fpoly_mul(ra, ra)),
+        ]
+        for got, want in cases:
+            _assert_canonical(got)
+            assert list(got.coeffs) == want
+            assert got == Poly(want) and hash(got) == hash(Poly(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_lists, rational_lists)
+    def test_equality_and_hash_follow_the_coefficients(self, ca, cb):
+        a, b = Poly(ca), Poly(cb)
+        assert (a == b) == (fpoly(ca) == fpoly(cb))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert Poly(a.coeffs) == a and hash(Poly(a.coeffs)) == hash(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_lists, rationals)
+    def test_eval_and_shift(self, ca, x):
+        a, ra = Poly(ca), fpoly(ca)
+        assert a(x) == fpoly_eval(ra, F(x))
+        assert type(a(x)) is F
+        shifted = a.shifted(x)
+        _assert_canonical(shifted)
+        assert list(shifted.coeffs) == fpoly_shift(ra, F(x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_lists)
+    def test_coeff_lookup_and_strings(self, ca):
+        a, ra = Poly(ca), fpoly(ca)
+        assert [a.coeff(i) for i in range(len(ra) + 2)] == ra + [0, 0]
+        assert Poly.from_coeff_string(a.to_coeff_string()) == a
+        assert a.to_coeff_string() == (", ".join(map(str, ra)) if ra else "0")
 
 
 class TestExpandPowProduct:

@@ -22,7 +22,7 @@ from fermibern import (
     vp,
 )
 
-from oracles import alternating_sum, q_weighted_value
+from oracles import alternating_sum, euler_numbers_by_series, q_weighted_value
 
 
 class TestMoments:
@@ -42,6 +42,18 @@ class TestMoments:
 
     def test_zero(self):
         assert integrate(Poly.zero()) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-10**6, 10**6),
+                              st.fractions(-50, 50, max_denominator=90)),
+                    max_size=40))
+    def test_against_series_moments(self, coeffs):
+        f = Poly(coeffs)
+        E = euler_numbers_by_series(40)
+        want = sum((c * E[j] for j, c in enumerate(f.coeffs)), Fraction(0))
+        got = integrate(f)
+        assert type(got) is Fraction
+        assert got == want
 
 
 class TestShiftedArguments:

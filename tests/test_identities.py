@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermibern import identities
 from fermibern.cli import render_verify_json, render_verify_table
@@ -23,6 +25,8 @@ from fermibern import (
     oracle_integral,
     run_suites,
 )
+
+from oracles import bernstein_product_integral, euler_numbers_by_series
 
 
 PROBES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]
@@ -67,6 +71,18 @@ class TestProductSpec:
                 assert p(x) == direct
 
 
+# products beyond every default sweep: lower indices differ between
+# factors, degrees up to 30 (defaults stop at 20, 12 and 8), up to four
+# factors with multiplicities up to 3 (defaults stop at 2)
+_wide_specs = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 3)).map(
+        lambda t: (min(t[0], t[1] + 1), t[1], t[2])),
+    min_size=1, max_size=4,
+).filter(lambda fs: sum(n * m for _, n, m in fs) <= 90).map(
+    lambda fs: ProductSpec(tuple(fs)))
+_SERIES_E = euler_numbers_by_series(90)
+
+
 class TestOracle:
     def test_frozen(self):
         assert oracle_integral(ProductSpec(((1, 2, 1),))) == -1
@@ -75,6 +91,12 @@ class TestOracle:
     def test_frozen_repeated_factor(self):
         assert oracle_integral(ProductSpec(((1, 2, 2),))) == -2
         assert oracle_integral(ProductSpec(((1, 2, 3),))) == -10
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_specs)
+    def test_against_fraction_products_outside_sweep_ranges(self, spec):
+        want = bernstein_product_integral(spec.factors, _SERIES_E)
+        assert oracle_integral(spec) == want
 
 
 class TestSingleFactorSuites:
@@ -358,6 +380,27 @@ class TestRunSuites:
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestCostGuard:
+    def test_oversized_full_sweep_is_refused_up_front(self, monkeypatch):
+        def no_products(*args):
+            raise AssertionError("a product was built before the refusal")
+        monkeypatch.setattr(identities, "_times", no_products)
+        for ids in (["T14"], ["C15"], ["T12", "T14"], "ALL"):
+            with pytest.raises(ValueError, match=r"at least \d+ products"):
+                run_suites(ids, n_max=12)
+        with pytest.raises(ValueError, match="T14/C15"):
+            run_suites(["C15"], n_max=10**9, m_max=0)
+
+    def test_limit_sits_between_the_last_allowed_and_first_refused_range(self):
+        def count(n_max, m_max):
+            return sum((m_max + 1) ** (n + 1) for n in range(n_max + 1))
+        limit = identities.FULL_PRODUCTS_MAX
+        assert count(identities.DEFAULT_FULL_N_MAX, identities.DEFAULT_FULL_M_MAX) < limit
+        assert count(9, 2) <= limit < count(10, 2)
+        # ranges that ignore T14/C15 are not limited by it
+        assert run_suites(["T1"], n_max=12)
 
 
 class TestCatalogEngine:

@@ -4,11 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fermibern import PadicApprox, is_prime, reduce_mod, unit_inverse, vp
 
-from oracles import modinv
+from oracles import modinv, vp_by_division
 
 
 class TestPrimality:
@@ -44,6 +44,26 @@ class TestValuation:
             vp(6, 4)
         with pytest.raises(ValueError):
             vp(6, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=0, max_value=3000),
+        st.sampled_from([2, 3, 5, 7, 11, 101]),
+        st.sampled_from([1, -1]),
+    )
+    def test_deep_valuations_match_one_division_at_a_time(self, a, b, i, j, p, sign):
+        x = Fraction(sign * a * p**i, b * p**j)
+        assert vp(x, p) == vp_by_division(x, p)
+
+    def test_powers_of_p(self):
+        for p in (2, 3, 7):
+            for v in list(range(70)) + [1023, 1024, 1025, 4000]:
+                assert vp(p**v, p) == v
+                assert vp(Fraction(p + 1, p**v), p) == -v
+                assert vp((p - 1) * p**v, p) == v
 
     @given(
         st.fractions(max_denominator=40).filter(lambda f: f != 0),
