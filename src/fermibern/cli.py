@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 at least one identity comparison failed
 (as-printed failures are tolerated under --expect-typos), 2 bad usage,
-an unwritable --out path, or a requested suite that swept no rows.
+an unwritable --out path, a requested suite that swept no rows, or a
+number too long to print.
 Polynomials are entered as comma-separated rational coefficients, lowest
 degree first: "0, 1" is x, "1, -2, 1" is (1-x)^2.
 """
@@ -108,12 +109,8 @@ def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> _Verdict:
     return _Verdict(ok, f"result: {'PASS' if ok else 'FAIL'} ({detail})", counts, failures)
 
 
-def render_verify_table(reports: Sequence[IdentityReport],
-                        deterministic: bool, expect_typos: bool,
-                        verdict: Optional[_Verdict] = None) -> str:
-    """The table; `verdict`, when given, is `_verdict(reports, expect_typos)`."""
-    if verdict is None:
-        verdict = _verdict(reports, expect_typos)
+def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
+    """The table of a run whose reports gave `verdict` (see `_verdict`)."""
     lines = []
     if not deterministic:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -176,30 +173,20 @@ def _cmd_integrate(args, parser) -> int:
 
 
 def _cmd_padic_trace(args, parser) -> int:
-    poly = _parse_poly(parser, args.poly)
-    # a bad p, or an S_N too long for int-to-str conversion, is bad usage
-    try:
-        trace = convergence_trace(poly, args.p, args.n_max)
-        if args.format == "csv":
-            text = trace.to_csv()
-        else:
-            lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
-            lines.extend(f"{n:>3}  {str(s_n):<24} {gap}"
-                         for n, s_n, gap in trace.rows)
-            text = "\n".join(lines) + "\n"
-    except ValueError as exc:
-        parser.error(str(exc))
+    trace = convergence_trace(_parse_poly(parser, args.poly), args.p, args.n_max)
+    if args.format == "csv":
+        text = trace.to_csv()
+    else:
+        lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
+        lines.extend(f"{n:>3}  {str(s_n):<24} {gap}" for n, s_n, gap in trace.rows)
+        text = "\n".join(lines) + "\n"
     _emit(parser, text, args.out)
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
-    try:
-        reports = run_suites(args.suites, n_max=args.n_max, k_max=args.k_max,
-                             s_max=args.s_max, m_max=args.m_max,
-                             variant=args.variant)
-    except ValueError as exc:
-        parser.error(str(exc))
+    reports = run_suites(args.suites, n_max=args.n_max, k_max=args.k_max,
+                         s_max=args.s_max, m_max=args.m_max, variant=args.variant)
     swept = {r.suite for r in reports}
     empty = [sid for sid in SUITE_ORDER if sid not in swept
              and (sid in args.suites or "ALL" in args.suites)]
@@ -211,8 +198,7 @@ def _cmd_verify(args, parser) -> int:
     elif args.format == "csv":
         _emit(parser, render_verify_csv(reports), args.out)
     else:
-        _emit(parser, render_verify_table(reports, args.deterministic,
-                                          args.expect_typos, verdict), args.out)
+        _emit(parser, render_verify_table(verdict, args.deterministic), args.out)
     return 0 if verdict.ok else 1
 
 
@@ -280,7 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    # a bad p, a refused sweep range, or a number too long for int-to-str
+    # conversion is bad usage, in every subcommand
+    try:
+        return args.func(args, parser)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -271,4 +271,8 @@ def expand_pow_product(k: int, m: int) -> Poly:
     """
     if k < 0 or m < 0:
         raise ValueError("exponents must be nonnegative")
-    return Poly([0] * k + [(-1) ** j * comb(m, j) for j in range(m + 1)])
+    nums, c = [0] * k, 1
+    for j in range(m + 1):  # (-1)^(j+1) C(m, j+1) = -(-1)^j C(m, j) (m - j) / (j + 1)
+        nums.append(c)
+        c = -c * (m - j) // (j + 1)
+    return Poly._from_pair(nums, 1)

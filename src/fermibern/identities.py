@@ -66,6 +66,7 @@ as-printed} pair on the typo-carrying sides); run_suites loops over it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -139,10 +140,7 @@ class ProductSpec:
         return sum(n * m for _, n, m in self.factors)
 
     def poly(self) -> Poly:
-        out = Poly.one()
-        for k, n, m in self.factors:
-            out = _times(out, k, n, m)
-        return out
+        return _build([], self.factors)
 
 
 @lru_cache(maxsize=None)
@@ -150,9 +148,19 @@ def _bern_power(k: int, n: int, m: int) -> Poly:
     return bernstein_poly(k, n) ** m
 
 
-def _times(prod: Optional[Poly], k: int, n: int, m: int) -> Optional[Poly]:
-    """prod * B_{k,n}^m; None stays None (no product is being built)."""
-    return prod if prod is None or m == 0 else prod * _bern_power(k, n, m)
+def _build(stack: list, factors: Sequence[tuple[int, int, int]]) -> Poly:
+    """prod_i B_{k_i,n_i}^{m_i}, grown from the longest prefix it shares with
+    the last product built on `stack`, a list of (factor, product up to that
+    factor) that is left holding this product.  Factors with m_i = 0 are 1."""
+    factors = [f for f in factors if f[2]]
+    shared = 0
+    while shared < min(len(stack), len(factors)) and stack[shared][0] == factors[shared]:
+        shared += 1
+    del stack[shared:]
+    for f in factors[shared:]:
+        power = _bern_power(*f)
+        stack.append((f, stack[-1][1] * power if stack else power))
+    return stack[-1][1] if stack else Poly.one()
 
 
 def oracle_integral(spec: ProductSpec, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
@@ -262,39 +270,33 @@ _F = {
 
 
 # -- the product families --------------------------------------------------------
-# family(need_poly, **ranges) yields (key tail, params, k, factors, product):
-# factors are (k_i, n_i, m_i) triples for prod_i B_{k_i,n_i}^{m_i}, and the
-# product is None unless need_poly.  A family ignores ranges it has no use for.
+# family(**ranges) lazily yields (key tail, params, k, factors): factors are
+# (k_i, n_i, m_i) triples for prod_i B_{k_i,n_i}^{m_i}, which `_sweep` builds
+# only for a case that reaches an oracle row.  A family ignores ranges it has
+# no use for, and never lists its cases: the T10..C13 ranges have no cap.
 
-def _products(need_poly, ks, cands, counts, params):
+def _products(ks, cands, counts, params):
     """prod_i B_{k,n_i}^{m_i} for each k in ks and each nondecreasing run of
-    entries (n, m) of cands(k) whose length is in counts, the product grown
-    one factor per step of the run; key tail (s, k, n_i..., m_i...)."""
-    top = max(counts, default=0)
-
-    def walk(k, row, start, factors, prod):
-        if len(factors) in counts:
-            ns, ms = tuple(f[1] for f in factors), tuple(f[2] for f in factors)
-            yield (len(ns), k, ns, ms), params(k, ns, ms), k, factors, prod
-        if len(factors) < top:
-            for idx in range(start, len(row)):
-                yield from walk(k, row, idx, factors + (row[idx],),
-                                _times(prod, *row[idx]))
-
+    entries (n, m) of cands(k) whose length is in counts; runs of one length
+    come in lexicographic order, so consecutive runs share long prefixes.
+    Key tail (s, k, n_i..., m_i...)."""
     for k in ks:
-        yield from walk(k, [(k, n, m) for n, m in cands(k)], 0, (),
-                        Poly.one() if need_poly else None)
+        row = [(k, n, m) for n, m in cands(k)]
+        for factors in itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(row, s) for s in counts):
+            ns, ms = tuple(f[1] for f in factors), tuple(f[2] for f in factors)
+            yield (len(ns), k, ns, ms), params(k, ns, ms), k, factors
 
 
-def _ladder(need_poly, n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
-    return _products(need_poly, (0,), lambda k: [(n, 1) for n in range(1, n_max + 1)],
+def _ladder(n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
+    return _products((0,), lambda k: [(n, 1) for n in range(1, n_max + 1)],
                      (1,), lambda k, ns, ms: {"n": ns[0]})
 
 
 def _fixed(count: int, n_default: int, names: tuple, lo=lambda k: 0):
     """`count` factors B_{k,n}, lo(k) <= n <= n_max, k <= k_max (default n_max)."""
-    def family(need_poly, n_max=n_default, k_max=None, **_):
-        return _products(need_poly, range((n_max if k_max is None else k_max) + 1),
+    def family(n_max=n_default, k_max=None, **_):
+        return _products(range((n_max if k_max is None else k_max) + 1),
                          lambda k: [(n, 1) for n in range(lo(k), n_max + 1)], (count,),
                          lambda k, ns, ms: dict(zip(names, (k,) + ns)))
     return family
@@ -305,22 +307,22 @@ _two = _fixed(2, DEFAULT_TWO_DEG_MAX, ("k", "n", "m"))                  # T5, P6
 _three = _fixed(3, DEFAULT_THREE_DEG_MAX, ("k", "n", "m", "s"))         # T8, C9
 
 
-def _sfold(need_poly, n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
+def _sfold(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
            s_max=DEFAULT_SFOLD_S_MAX, **_):                             # T10, C11
-    return _products(need_poly, range(k_max + 1),
+    return _products(range(k_max + 1),
                      lambda k: [(n, 1) for n in range(n_max + 1)], range(1, s_max + 1),
                      lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns)})
 
 
-def _mult(need_poly, n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
+def _mult(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
           s_max=DEFAULT_SFOLD_S_MAX, m_max=DEFAULT_MULT_M_MAX, **_):   # T12, C13
     cands = [(n, m) for n in range(n_max + 1) for m in range(1, m_max + 1)]
-    return _products(need_poly, range(k_max + 1), lambda k: cands, range(1, s_max + 1),
+    return _products(range(k_max + 1), lambda k: cands, range(1, s_max + 1),
                      lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns),
                                         "m": list(ms)})
 
 
-def _full(need_poly, n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
+def _full(n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
     """T14, C15: prod_{i=0}^{n} B_{i,n}^{m_i}, one lower index per factor.
 
     Not a generator: the product count is checked when the family is made.
@@ -332,18 +334,10 @@ def _full(need_poly, n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
             raise ValueError(f"T14/C15 with n_max={n_max}, m_max={m_max} would sweep "
                              f"at least {count} products, more than the "
                              f"{FULL_PRODUCTS_MAX} allowed")
-
-    def walk(n, factors, prod):
-        i = len(factors)
-        if i > n:
-            ms = tuple(m for _, _, m in factors)
-            yield (n, ms), {"n": n, "m": list(ms)}, None, factors, prod
-            return
-        for m in range(m_max + 1):
-            yield from walk(n, factors + ((i, n, m),), _times(prod, i, n, m))
-
-    return (case for n in range(n_max + 1)
-            for case in walk(n, (), Poly.one() if need_poly else None))
+    return (((n, ms), {"n": n, "m": list(ms)}, None,
+             tuple((i, n, m) for i, m in enumerate(ms)))
+            for n in range(n_max + 1)
+            for ms in itertools.product(range(m_max + 1), repeat=n + 1))
 
 
 # -- the catalog -------------------------------------------------------------------
@@ -389,37 +383,32 @@ _CATALOG = (
 
 def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
     """Compare both sides of each row on each case of one family; the
-    oracle is integrated at most once per case."""
+    oracle product is built and integrated at most once per case."""
     E: list = []
-    memo: dict = {}
+    stack: list = []  # the last product built, see _build
+    literal = lru_cache(maxsize=None)(lambda f, args: f(E, *args))  # args: k, s, T, K
 
-    def literal(f, args):  # memoized on (formula, k, s, T, K)
-        if (f,) + args not in memo:
-            memo[(f,) + args] = f(E, *args)
-        return memo[(f,) + args]
-
-    for tail, params, k, factors, prod in cases:
+    for tail, params, k, factors in cases:
         T = sum(n * m for _, n, m in factors)
         K = sum(i * m for i, _, m in factors)
         args = (k, len(factors), T, K)
         if T >= len(E):  # no literal index exceeds T
             E = euler_numbers(T, cache)
         oracle = None
-        for ri, row, row_variants in rows:
+        for ri, row, sides in rows:
             if row.strict and T <= K:
                 continue
             row_params = params if row.part is None else {**params, "part": row.part}
-            for variant in row_variants:
-                lhs, rhs = (x[variant] if isinstance(x, dict) else x
-                            for x in (row.lhs, row.rhs))
+            for variant, lhs, rhs in sides:
                 right = literal(rhs, args)
                 if lhs is not _ORACLE:
                     left = literal(lhs, args)
                 else:
                     if oracle is None:
-                        oracle = integrate(prod, cache)
+                        oracle = integrate(_build(stack, factors), cache)
+                        scale = math.prod(binom(n, i) ** m for i, n, m in factors)
                     left = oracle
-                    right = math.prod(binom(n, i) ** m for i, n, m in factors) * right
+                    right = scale * right
                 if left is not None:
                     out[row.sid].append(((T,) + tail + (ri, variant != CORRECTED),
                                          IdentityReport(row.sid, row_params, left, right,
@@ -467,12 +456,13 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     for ri, row in enumerate(_CATALOG):
         if row.sid in out:
             paired = isinstance(row.lhs, dict) or isinstance(row.rhs, dict)
-            families.setdefault(row.family, []).append(
-                (ri, row, variants if paired else (CORRECTED,)))
+            sides = tuple((v, *(x[v] if isinstance(x, dict) else x
+                                for x in (row.lhs, row.rhs)))
+                          for v in (variants if paired else (CORRECTED,)))
+            families.setdefault(row.family, []).append((ri, row, sides))
     # make every family before sweeping any, so that a refused range
     # (FULL_PRODUCTS_MAX) costs nothing
-    sweeps = [(family(any(row.lhs is _ORACLE for _, row, _ in rows), **ranges), rows)
-              for family, rows in families.items()]
+    sweeps = [(family(**ranges), rows) for family, rows in families.items()]
     for cases, rows in sweeps:
         _sweep(cases, rows, cache, out)
 

@@ -195,6 +195,7 @@ class TestUsageErrors:
         ["verify", "T1", "--n-max", "0"],
         ["verify", "C13", "--variant", "as-printed", "--k-max", "0"],
         ["verify", "T14", "--n-max", "12"],
+        ["bernstein", "0", "15000"],
     ])
     def test_exit_code_two(self, argv, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out"

@@ -247,6 +247,15 @@ class TestExpandPowProduct:
                 for j in range(m + 1):
                     assert p.coeff(k + j) == (-1) ** j * binom(m, j)
 
+    def test_whole_rows_match_comb(self):
+        # the rows are built by the ratio C(m, j+1) = C(m, j)(m-j)/(j+1)
+        for m in range(301):
+            want = tuple((-1) ** j * binom(m, j) for j in range(m + 1))
+            for k in (0, 3):
+                p = expand_pow_product(k, m)
+                assert p.numerators == (0,) * k + want
+                assert p.denominator == 1
+
     def test_degree_exact(self):
         for k in range(6):
             for m in range(6):

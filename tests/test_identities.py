@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermibern import identities
-from fermibern.cli import render_verify_json, render_verify_table
+from fermibern.cli import (_verdict, render_verify_csv, render_verify_json,
+                           render_verify_table)
 from fermibern import (
     AS_PRINTED,
     CORRECTED,
@@ -386,7 +388,7 @@ class TestCostGuard:
     def test_oversized_full_sweep_is_refused_up_front(self, monkeypatch):
         def no_products(*args):
             raise AssertionError("a product was built before the refusal")
-        monkeypatch.setattr(identities, "_times", no_products)
+        monkeypatch.setattr(identities, "_bern_power", no_products)
         for ids in (["T14"], ["C15"], ["T12", "T14"], "ALL"):
             with pytest.raises(ValueError, match=r"at least \d+ products"):
                 run_suites(ids, n_max=12)
@@ -406,13 +408,44 @@ class TestCostGuard:
 class TestCatalogEngine:
     def test_full_audit_is_byte_identical_to_the_reference(self):
         # the reference digests of `verify ALL --variant both --deterministic`
-        # rendered as json, and as a table with --expect-typos
+        # rendered as json, as csv and as a table with --expect-typos, and of
+        # its corrected reports alone, which is `verify ALL --deterministic`
         reports = run_suites("ALL", variant="both")
         assert _sha256(render_verify_json(reports)) == (
             "a8af3dfa1a138a85bb247949e98818f2feec2ba47e20f37c8ebf83085a686e6d")
-        assert _sha256(render_verify_table(reports, deterministic=True,
-                                           expect_typos=True)) == (
+        assert _sha256(render_verify_csv(reports)) == (
+            "b795c324739b86639ac57fe9e5bd427e2e83c0afe8b41d87ff1c14f17b68d960")
+        assert _sha256(render_verify_table(_verdict(reports, True), True)) == (
             "7cf090d2752db93d886d1660ab562e1e9ca59e37bac1b69ad28e0b961a5a0276")
+        corrected = [r for r in reports if r.variant == CORRECTED]
+        assert _sha256(render_verify_table(_verdict(corrected, False), True)) == (
+            "bc209a5775cc0907fb777fc6a66ee97da6da39d1d5c1f742e36797552166571b")
+
+    def test_products_grow_from_the_shared_prefix(self, monkeypatch):
+        # with the powers B_{k,n}^m cached, every multiplication extends a
+        # product by one factor; rebuilding each T12 product from its first
+        # factor takes about 73,000 of them, growing it from the prefix it
+        # shares with the last product takes about 32,000
+        run_suites(["T12"])
+        calls = []
+        mul = Poly.__mul__
+
+        def counted(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        assert all(r.equal for r in run_suites(["T12"]))
+        assert 0 < len(calls) <= 33_000
+
+    def test_families_stream_their_cases(self):
+        # about 6e13 runs (C(171, 8) of length 8 for each of 4 k): the family
+        # must not list them first
+        start = time.perf_counter()
+        tail, params, k, factors = next(identities._mult(n_max=40, s_max=8, m_max=4))
+        assert time.perf_counter() - start < 1.0
+        assert (tail, params, k, factors) == (
+            (1, 0, (0,), (1,)), {"k": 0, "s": 1, "n": [0], "m": [1]}, 0, ((0, 0, 1),))
 
     def test_c13_alone_never_multiplies_polynomials(self, monkeypatch):
         def refuse(self, other):
