@@ -58,10 +58,10 @@ Conventions: an empty sum is 0, and every literal sign expression is kept
 exactly as the catalog states it ((-1)^(j+2k), (-1)^(3k-j), ...) rather
 than parity-simplified; the tests check both spellings agree.
 
-A suite other than EULER is one row of `_CATALOG` (T14: one per part):
-the family of products it sweeps, its precondition and its two sides,
-each the oracle or a literal formula written once in `_F` (a {corrected,
-as-printed} pair on the typo-carrying sides); run_suites loops over it.
+A suite other than EULER is one row of `_CATALOG` per part (T14 I, II) and
+edition (corrected, as-printed): the family of products it sweeps, its
+precondition and its two sides, each the oracle or a literal formula
+written once in `_F`; run_suites loops over the rows.
 """
 
 from __future__ import annotations
@@ -346,15 +346,17 @@ _ORACLE = "oracle"
 
 
 class _Suite(NamedTuple):
-    """One catalog suite.  A side is _ORACLE, a formula of `_F` or a
-    {CORRECTED: formula, AS_PRINTED: formula} pair.  Against the oracle the
-    right side is scaled by prod_i C(n_i,k_i)^{m_i} (1 for T1)."""
+    """One catalog row: a suite, or one part or edition of it.  A side is
+    _ORACLE or a formula of `_F`; against the oracle the right side is
+    scaled by prod_i C(n_i,k_i)^{m_i} (1 for T1).  `edition` is None when
+    the circulating text is correct, else CORRECTED or AS_PRINTED."""
     sid: str
     family: Callable
     strict: bool              # requires T > K (k < n, n + m > 2k, ...)
     lhs: object
-    rhs: object
+    rhs: Callable
     part: Optional[str] = None
+    edition: Optional[str] = None
 
 
 _CATALOG = (
@@ -370,14 +372,14 @@ _CATALOG = (
     _Suite("T10", _sfold, True, _ORACLE, _F["T10"]),
     _Suite("C11", _sfold, True, _F["C11"], _F["T10"]),
     _Suite("T12", _mult, True, _ORACLE, _F["T12"]),
-    _Suite("C13", _mult, True,
-           {CORRECTED: _F["C13"], AS_PRINTED: _F["C13 as printed"]}, _F["T12"]),
-    # part II sorts before part I: the catalog position is part of the key
+    _Suite("C13", _mult, True, _F["C13"], _F["T12"], edition=CORRECTED),
+    _Suite("C13", _mult, True, _F["C13 as printed"], _F["T12"], edition=AS_PRINTED),
+    # the reports of one case come in catalog order: part II before part I
     _Suite("T14", _full, False, _ORACLE, _F["C13"], "II"),
-    _Suite("T14", _full, True, _ORACLE,
-           {CORRECTED: _F["T12"], AS_PRINTED: _F["T14 as printed"]}, "I"),
-    _Suite("C15", _full, True, _F["C13"],
-           {CORRECTED: _F["T12"], AS_PRINTED: _F["T14 as printed"]}),
+    _Suite("T14", _full, True, _ORACLE, _F["T12"], "I", CORRECTED),
+    _Suite("T14", _full, True, _ORACLE, _F["T14 as printed"], "I", AS_PRINTED),
+    _Suite("C15", _full, True, _F["C13"], _F["T12"], edition=CORRECTED),
+    _Suite("C15", _full, True, _F["C13"], _F["T14 as printed"], edition=AS_PRINTED),
 )
 
 
@@ -394,25 +396,24 @@ def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
         args = (k, len(factors), T, K)
         if T >= len(E):  # no literal index exceeds T
             E = euler_numbers(T, cache)
+        key = (T,) + tail
         oracle = None
-        for ri, row, sides in rows:
+        for row in rows:
             if row.strict and T <= K:
                 continue
-            row_params = params if row.part is None else {**params, "part": row.part}
-            for variant, lhs, rhs in sides:
-                right = literal(rhs, args)
-                if lhs is not _ORACLE:
-                    left = literal(lhs, args)
-                else:
-                    if oracle is None:
-                        oracle = integrate(_build(stack, factors), cache)
-                        scale = math.prod(binom(n, i) ** m for i, n, m in factors)
-                    left = oracle
-                    right = scale * right
-                if left is not None:
-                    out[row.sid].append(((T,) + tail + (ri, variant != CORRECTED),
-                                         IdentityReport(row.sid, row_params, left, right,
-                                                        variant)))
+            right = literal(row.rhs, args)
+            if row.lhs is not _ORACLE:
+                left = literal(row.lhs, args)
+            else:
+                if oracle is None:
+                    oracle = integrate(_build(stack, factors), cache)
+                    scale = math.prod(binom(n, i) ** m for i, n, m in factors)
+                left = oracle
+                right = scale * right
+            if left is not None:
+                row_params = params if row.part is None else {**params, "part": row.part}
+                out[row.sid].append((key, IdentityReport(row.sid, row_params, left, right,
+                                                         row.edition or CORRECTED)))
 
 
 def run_suites(ids: Union[str, Sequence[str]], *,
@@ -431,9 +432,10 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     whose circulating text is already correct always report
     variant="corrected".
 
-    Ordering: suites in catalog order, rows within a suite by total
-    degree, then the remaining parameters lexicographically, with the
-    corrected edition before the as-printed one.  The ordering, and the
+    Ordering: suites in catalog order, then one sort key per case: total
+    degree, then the remaining parameters lexicographically.  The sort is
+    stable, so the reports of one case keep catalog order (T14 part II,
+    then part I corrected, then as-printed).  The ordering, and the
     report contents, are fully deterministic.
     """
     if isinstance(ids, str):
@@ -453,13 +455,9 @@ def run_suites(ids: Union[str, Sequence[str]], *,
         out["EULER"] = _euler_rows(cache, **ranges)
 
     families: dict[Callable, list] = {}
-    for ri, row in enumerate(_CATALOG):
-        if row.sid in out:
-            paired = isinstance(row.lhs, dict) or isinstance(row.rhs, dict)
-            sides = tuple((v, *(x[v] if isinstance(x, dict) else x
-                                for x in (row.lhs, row.rhs)))
-                          for v in (variants if paired else (CORRECTED,)))
-            families.setdefault(row.family, []).append((ri, row, sides))
+    for row in _CATALOG:
+        if row.sid in out and (row.edition is None or row.edition in variants):
+            families.setdefault(row.family, []).append(row)
     # make every family before sweeping any, so that a refused range
     # (FULL_PRODUCTS_MAX) costs nothing
     sweeps = [(family(**ranges), rows) for family, rows in families.items()]

@@ -23,19 +23,40 @@ __all__ = ["is_prime", "vp", "PadicApprox", "reduce_mod", "unit_inverse"]
 Rat = Union[int, Fraction]
 
 
+# The strong-probable-prime test to the 13 prime bases 2..41 has no
+# pseudoprime below this bound (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86 (2017)).
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; fine for the word-sized p used here."""
-    if n < 2:
+    """Deterministic Miller-Rabin to the prime bases 2..41.
+
+    Exact for n < PRIME_TEST_LIMIT (about 3.3e24); any larger n raises
+    ValueError rather than get an answer that is only probable.
+    """
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot decide whether {n} is prime: "
+                         f"the test is exact only below {PRIME_TEST_LIMIT}")
+    if n <= _BASES[-1]:
+        return n in _BASES
+    if any(n % b == 0 for b in _BASES):
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

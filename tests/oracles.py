@@ -3,7 +3,8 @@
 Nothing here touches the production code paths: Euler numbers come from
 term-by-term inversion of the exponential series of (e^t + 1)/2, modular
 inverses from the extended Euclidean algorithm, partial sums from a
-direct Fraction loop, valuations from one division by p at a time, and
+direct Fraction loop, valuations from one division by p at a time,
+primality from trial division, and
 polynomials are plain lists of Fractions, lowest degree first, with the
 schoolbook operations on them.  Agreement between these and the package
 is the point of most tests.  The package gets S_N from the shift
@@ -68,6 +69,20 @@ def q_weighted_value(coeffs: list[Fraction], p: int, q: Fraction,
         fx = sum(c * Fraction(x) ** i for i, c in enumerate(coeffs))
         total += (-q) ** x * fx
     return total * (1 + q) / (1 + q ** (p**N))
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Primality by trying every odd divisor up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def vp_by_division(x: Fraction, p: int) -> int:

@@ -77,6 +77,13 @@ class TestPadicTrace:
         assert len(lines) == 13
         assert lines[-1] == " 12  6920643600               12"
 
+    def test_huge_prime_is_cheap(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "padic-trace", "0,1", str(10**20 + 39), "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.splitlines()[1].split() == ["1", str((10**20 + 38) // 2), "1"]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "trace.csv"
         code, out = run_cli(capsys, "padic-trace", "0,1", "3", "2",
@@ -196,6 +203,7 @@ class TestUsageErrors:
         ["verify", "C13", "--variant", "as-printed", "--k-max", "0"],
         ["verify", "T14", "--n-max", "12"],
         ["bernstein", "0", "15000"],
+        ["padic-trace", "0,1", "3317044064679887385961981", "1"],
     ])
     def test_exit_code_two(self, argv, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out"

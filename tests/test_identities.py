@@ -290,14 +290,24 @@ class TestVariants:
             assert total - kk <= kk
 
     def test_both_emits_corrected_then_as_printed(self):
-        reports = run_suites(["C15"], n_max=2, m_max=1, variant="both")
-        by_params = {}
-        for r in reports:
-            by_params.setdefault(json.dumps(r.params, sort_keys=True), []).append(r)
-        assert any(len(v) == 2 for v in by_params.values())
-        for group in by_params.values():
-            if len(group) == 2:
-                assert [r.variant for r in group] == [CORRECTED, AS_PRINTED]
+        # the reports of one case are adjacent; T14 gives part II, then
+        # part I corrected, then part I as-printed
+        for sid, order in (("C13", [(None, CORRECTED), (None, AS_PRINTED)]),
+                           ("T14", [("II", CORRECTED), ("I", CORRECTED),
+                                    ("I", AS_PRINTED)]),
+                           ("C15", [(None, CORRECTED), (None, AS_PRINTED)])):
+            reports = run_suites([sid], n_max=2, m_max=1, s_max=2, k_max=1,
+                                 variant="both")
+            groups = []
+            for r in reports:
+                case = {k: v for k, v in r.params.items() if k != "part"}
+                if not groups or groups[-1][0] != case:
+                    groups.append((case, []))
+                groups[-1][1].append((r.params.get("part"), r.variant))
+            assert len({json.dumps(c, sort_keys=True) for c, _ in groups}) == len(groups)
+            assert any(g == order for _, g in groups), sid
+            for _, g in groups:
+                assert g == [x for x in order if x in g], (sid, g)
 
     def test_typo_free_suites_ignore_variant_flag(self):
         a = run_suites(["T3"], n_max=4, variant=AS_PRINTED)
@@ -471,21 +481,34 @@ class _ShiftedTable:
 
 
 def _shifted(side):
-    if isinstance(side, dict):  # a typo-carrying pair: break the corrected form
-        return {**side, CORRECTED: _shifted(side[CORRECTED])}
     return lambda E, *args: side(_ShiftedTable(E), *args)
 
 
 FAULT_RANGES = dict(n_max=4, k_max=2, s_max=2, m_max=2)  # inside every default
 
 
-@pytest.mark.parametrize("sid", SUITE_ORDER[1:])
-def test_injected_index_fault_is_caught(sid, monkeypatch):
-    assert find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES) is None
-    row = next(r for r in identities._CATALOG if r.sid == sid)
-    broken = row._replace(rhs=_shifted(row.rhs))
+def _literal_sides():
+    """(row, side name) for every literal side of every row that the
+    corrected sweep runs; the test id of the right side of a suite's first
+    row is the suite id alone."""
+    firsts = {}
+    for row in identities._CATALOG:
+        if row.edition == AS_PRINTED:
+            continue
+        first = firsts.setdefault(row.sid, row) is row
+        for side in ("lhs", "rhs"):
+            if getattr(row, side) is not identities._ORACLE:
+                tag = ("" if first else f"-part{row.part}") + ("-lhs" if side == "lhs" else "")
+                yield pytest.param(row, side, id=row.sid + tag)
+
+
+@pytest.mark.parametrize("row, side", _literal_sides())
+def test_injected_index_fault_is_caught(row, side, monkeypatch):
+    assert find_counterexample(row.sid, variant=CORRECTED, **FAULT_RANGES) is None
+    broken = row._replace(**{side: _shifted(getattr(row, side))})
     monkeypatch.setattr(identities, "_CATALOG", tuple(
         broken if r is row else r for r in identities._CATALOG))
-    bad = find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES)
+    bad = find_counterexample(row.sid, variant=CORRECTED, **FAULT_RANGES)
     assert bad is not None
-    assert bad.suite == sid and bad.variant == CORRECTED
+    assert bad.suite == row.sid and bad.variant == CORRECTED
+    assert bad.params.get("part") == row.part

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fermibern import PadicApprox, is_prime, reduce_mod, unit_inverse, vp
 
-from oracles import modinv, vp_by_division
+from oracles import is_prime_by_trial_division, modinv, vp_by_division
 
 
 class TestPrimality:
@@ -21,6 +21,20 @@ class TestPrimality:
         assert is_prime(7919)
         assert not is_prime(7917)
         assert not is_prime(25)
+
+    def test_matches_trial_division_below_200000(self):
+        for n in range(200_000):
+            assert is_prime(n) == is_prime_by_trial_division(n), n
+
+    def test_strong_pseudoprime_to_the_bases_below_41(self):
+        # a strong pseudoprime to every prime base 2..37; only base 41 exposes it
+        assert not is_prime(318665857834031151167461)
+        assert is_prime(10**20 + 39)
+
+    def test_refused_where_the_bases_no_longer_suffice(self):
+        assert not is_prime(3317044064679887385961979)  # divisible by 3
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(3317044064679887385961981)
 
 
 class TestValuation:
