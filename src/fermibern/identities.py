@@ -4,8 +4,8 @@ Every entry in the catalog evaluates the alternating p-adic integral I()
 of a product of Bernstein basis polynomials in terms of Euler numbers.
 Each suite sweeps a parameter range, evaluates the catalog closed form
 with literal index and sign expressions, compares against the brute-force
-route (expand the product, integrate termwise), and emits
-one `IdentityReport` per comparison.
+route (expand all factors but the last, integrate the last termwise
+through its Euler moment row), and emits one `IdentityReport` per comparison.
 
 Catalog ids.  C(a,b) is the binomial coefficient, E_r the r-th Euler
 number, B_{k,n} the Bernstein basis polynomial.  For the product entries
@@ -77,7 +77,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .bernstein import bernstein_poly
 from .euler import DEFAULT_CACHE, EulerCache, euler_numbers, euler_poly
 from .exactnum import Poly, binom
-from .fermint import integrate
 
 __all__ = [
     "CORRECTED",
@@ -163,17 +162,42 @@ def _build(stack: list, factors: Sequence[tuple[int, int, int]]) -> Poly:
     return stack[-1][1] if stack else Poly.one()
 
 
+def _oracle(stack: list, moments: dict, factors, cache: EulerCache) -> Fraction:
+    """I(Q P) = sum_a q_a I(x^a P) for prod_i B_{k_i,n_i}^{m_i} = Q P, P = B_{k,n}^m
+    the last factor with m > 0: only Q is expanded, by `_build` on `stack`.
+    `moments` maps P's factor to (P, row), row[a] = sum_b p_b e_{a+b} 2^(deg P - b)
+    with e_j = 2^j E_j, so I(x^a P) = row[a] / (den P 2^(a + deg P)).  A factor
+    B_{k,n} with k > n is 0, and so is its product, which builds nothing."""
+    factors = [f for f in factors if f[2]]
+    if any(k > n for k, n, _ in factors):
+        return Fraction(0)
+    if not factors:
+        return Fraction(1)
+    prefix = _build(stack, factors[:-1])
+    if factors[-1] not in moments:
+        moments[factors[-1]] = (_bern_power(*factors[-1]), [])
+    power, row = moments[factors[-1]]
+    dq, dp = prefix.degree, power.degree
+    if len(row) <= dq:  # a longer prefix than any before: extend the row
+        e, p = cache.scaled(dq + dp), power.numerators
+        row.extend(sum(pb * e[a + b] << (dp - b) for b, pb in enumerate(p) if pb)
+                   for a in range(len(row), dq + 1))
+    q = prefix.numerators
+    return Fraction(sum(qa * row[a] << (dq - a) for a, qa in enumerate(q) if qa),
+                    (prefix.denominator * power.denominator) << (dq + dp))
+
+
 def oracle_integral(spec: ProductSpec, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
-    """Brute-force reference value: expand the product, integrate termwise.
+    """Brute-force reference value: the product integrated term by term.
 
     This is the route every closed form is judged against.  It never
-    consults any catalog formula: plain polynomial multiplication, then
-    the Euler-moment expansion of the integral.
+    consults any catalog formula: the prefix is expanded, and the last
+    factor is integrated termwise through its Euler moment row (`_oracle`).
     """
-    return integrate(spec.poly(), cache)
+    return _oracle([], {}, spec.factors, cache)
 
 
-@dataclass
+@dataclass(slots=True)
 class IdentityReport:
     """One closed-form-vs-reference comparison.
 
@@ -232,8 +256,9 @@ def _euler_rows(cache: EulerCache, n_max: int = DEFAULT_EULER_N_MAX, **_) -> lis
 def _alt(width: int, sign: Callable[[int], int], index: Callable[[int], int],
          E: Sequence[Fraction]) -> Fraction:
     """sum_{j=0}^{width} C(width, j) sign(j) E[index(j)]; 0 when width < 0."""
-    return sum((binom(width, j) * sign(j) * E[index(j)] for j in range(width + 1)),
-               Fraction(0))
+    terms = [(binom(width, j) * sign(j), E[index(j)]) for j in range(width + 1)]
+    den = math.lcm(*(e.denominator for _, e in terms))
+    return Fraction(sum(c * e.numerator * (den // e.denominator) for c, e in terms), den)
 
 
 # Each formula is f(E, k, s, T, K) over the Euler table E, the shared lower
@@ -385,9 +410,9 @@ _CATALOG = (
 
 def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
     """Compare both sides of each row on each case of one family; the
-    oracle product is built and integrated at most once per case."""
+    oracle is computed at most once per case."""
     E: list = []
-    stack: list = []  # the last product built, see _build
+    stack, moments = [], {}  # the last product built and the moment rows, see _oracle
     literal = lru_cache(maxsize=None)(lambda f, args: f(E, *args))  # args: k, s, T, K
 
     for tail, params, k, factors in cases:
@@ -406,7 +431,7 @@ def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
                 left = literal(row.lhs, args)
             else:
                 if oracle is None:
-                    oracle = integrate(_build(stack, factors), cache)
+                    oracle = _oracle(stack, moments, factors, cache)
                     scale = math.prod(binom(n, i) ** m for i, n, m in factors)
                 left = oracle
                 right = scale * right

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermibern import identities
+from fermibern.euler import DEFAULT_CACHE
 from fermibern.cli import (_verdict, render_verify_csv, render_verify_json,
                            render_verify_table)
 from fermibern import (
@@ -84,6 +85,16 @@ _wide_specs = st.lists(
     lambda fs: ProductSpec(tuple(fs)))
 _SERIES_E = euler_numbers_by_series(90)
 
+# sequences of factor runs in which some factors vanish (k > n), some are 1
+# (m = 0), and a few last factors recur after prefixes both shorter and
+# longer than before, so that their moment rows have to grow
+_small_factors = st.tuples(st.integers(0, 7), st.integers(0, 6), st.integers(0, 2))
+_runs_sharing_last_factors = st.lists(
+    st.tuples(st.lists(_small_factors, max_size=4),
+              st.sampled_from([(0, 3, 1), (2, 4, 2), (1, 1, 1), (6, 5, 1)])).map(
+        lambda run: run[0] + [run[1]]),
+    min_size=1, max_size=12)
+
 
 class TestOracle:
     def test_frozen(self):
@@ -99,6 +110,39 @@ class TestOracle:
     def test_against_fraction_products_outside_sweep_ranges(self, spec):
         want = bernstein_product_integral(spec.factors, _SERIES_E)
         assert oracle_integral(spec) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(_runs_sharing_last_factors)
+    def test_shared_stack_and_moment_rows_match_fraction_products(self, runs):
+        # one stack and one moment memo for the whole sequence, as in a sweep
+        stack, moments = [], {}
+        for factors in runs:
+            want = bernstein_product_integral(factors, _SERIES_E)
+            assert identities._oracle(stack, moments, factors, DEFAULT_CACHE) == want
+
+    def test_moment_row_grows_with_the_prefix(self):
+        stack, moments, last = [], {}, (1, 3, 2)
+        for prefix in ([], [(0, 4, 2), (2, 5, 1)], [(1, 1, 1)], [(0, 6, 2)] * 3):
+            factors = prefix + [last]
+            want = bernstein_product_integral(factors, _SERIES_E)
+            assert identities._oracle(stack, moments, factors, DEFAULT_CACHE) == want
+        assert len(moments[last][1]) == 6 * 2 * 3 + 1  # the longest prefix, degree 36
+
+    def test_factors_with_a_denominator(self, monkeypatch):
+        # the oracle stays exact when the powers it is handed are not integer
+        power = identities._bern_power
+        monkeypatch.setattr(identities, "_bern_power",
+                            lambda k, n, m: Fraction(1, 3) * power(k, n, m))
+        factors = ((2, 5, 1), (1, 3, 2), (0, 4, 2))  # the last one is (1-x)^8 / 3
+        want = bernstein_product_integral(factors, _SERIES_E)
+        assert oracle_integral(ProductSpec(factors)) == want / 27
+
+    def test_zero_product_builds_nothing(self, monkeypatch):
+        def no_products(*args):
+            raise AssertionError("a factor of a zero product was built")
+        monkeypatch.setattr(identities, "_bern_power", no_products)
+        for factors in (((5, 3, 1), (0, 2, 1)), ((0, 2, 1), (1, 4, 0), (3, 2, 2))):
+            assert oracle_integral(ProductSpec(factors)) == 0
 
 
 class TestSingleFactorSuites:
@@ -341,6 +385,13 @@ class TestReports:
         with pytest.raises(ValueError):
             IdentityReport.from_json(json.dumps(d))
 
+    def test_reports_have_slots_and_round_trip(self):
+        reports = run_suites(["T12", "C13"], n_max=3, s_max=2, m_max=2, k_max=1,
+                             variant="both")
+        for r in reports:
+            assert not hasattr(r, "__dict__")
+            assert IdentityReport.from_json(r.to_json()) == r
+
     def test_equal_is_derived(self):
         r = IdentityReport("T1", {"n": 1}, Fraction(3, 2), Fraction(3, 2))
         assert r.equal
@@ -435,7 +486,9 @@ class TestCatalogEngine:
         # with the powers B_{k,n}^m cached, every multiplication extends a
         # product by one factor; rebuilding each T12 product from its first
         # factor takes about 73,000 of them, growing it from the prefix it
-        # shares with the last product takes about 32,000
+        # shares with the last product takes about 32,000, and expanding only
+        # the factors before the last one, which is integrated through its
+        # moment row, takes 3,860
         run_suites(["T12"])
         calls = []
         mul = Poly.__mul__
@@ -446,7 +499,7 @@ class TestCatalogEngine:
 
         monkeypatch.setattr(Poly, "__mul__", counted)
         assert all(r.equal for r in run_suites(["T12"]))
-        assert 0 < len(calls) <= 33_000
+        assert 0 < len(calls) <= 4_000
 
     def test_families_stream_their_cases(self):
         # about 6e13 runs (C(171, 8) of length 8 for each of 4 k): the family
@@ -512,3 +565,13 @@ def test_injected_index_fault_is_caught(row, side, monkeypatch):
     assert bad is not None
     assert bad.suite == row.sid and bad.variant == CORRECTED
     assert bad.params.get("part") == row.part
+
+
+@pytest.mark.parametrize("sid", ["T1", "P2", "T3", "T5", "P6", "T8", "T10", "T12", "T14"])
+def test_injected_oracle_fault_is_caught(sid, monkeypatch):
+    # every power B_{k,n}^m the oracle builds comes out doubled
+    power = identities._bern_power
+    monkeypatch.setattr(identities, "_bern_power", lambda k, n, m: 2 * power(k, n, m))
+    bad = find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES)
+    assert bad is not None
+    assert bad.suite == sid and bad.variant == CORRECTED and not bad.equal
