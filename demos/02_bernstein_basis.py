@@ -22,7 +22,7 @@ for k in range(n + 1):
 print("\nsum of the degree-4 basis:", total.to_coeff_string())
 
 # index past the degree: identically zero, by convention
-print("B_{6,4} is the zero polynomial:", bernstein_poly(6, 4).is_zero)
+print("B_{6,4} is the zero polynomial:", bernstein_poly(6, 4).is_zero())
 
 # mirror symmetry k -> n-k, x -> 1-x
 print("\nB_{1,4}(1-x) == B_{3,4}(x)?",

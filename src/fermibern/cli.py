@@ -187,12 +187,11 @@ def _cmd_padic_trace(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     reports = run_suites(args.suites, n_max=args.n_max, k_max=args.k_max,
                          s_max=args.s_max, m_max=args.m_max, variant=args.variant)
-    swept = {r.suite for r in reports}
-    empty = [sid for sid in SUITE_ORDER if sid not in swept
+    verdict = _verdict(reports, args.expect_typos)
+    empty = [sid for sid in SUITE_ORDER if sid not in verdict.counts
              and (sid in args.suites or "ALL" in args.suites)]
     if empty:
         parser.error(f"empty sweep, no rows for {', '.join(empty)}")
-    verdict = _verdict(reports, args.expect_typos)
     if args.format == "json":
         _emit(parser, render_verify_json(reports), args.out)
     elif args.format == "csv":

@@ -9,7 +9,7 @@ so E_0 = 1, E_1 = -1/2, E_2 = 0, E_3 = 1/4, and E_{2n} = 0 for n >= 1.
 (These are not the integer "secant" Euler numbers E_n(1/2) * 2^n.)
 
 Multiplying the generating function by e^t + 1 gives the defining
-recurrence used throughout:
+recurrence
 
     E_0 = 1,      sum_{l=0}^{n} C(n, l) E_l + E_n = 0   for n >= 1,
 
@@ -20,9 +20,13 @@ and the polynomials follow from e^{xt} * 2/(e^t + 1):
 Denominators of E_n are always powers of two: e_n = 2^n E_n is an
 integer (a signed tangent number for odd n), so every E_n is a p-adic
 integer for every odd prime p; the partial-sum evaluators in
-`fermibern.fermint` rely on that.  `EulerCache.scaled` hands those
-integers to `fermibern.fermint.integrate`, which sums them over one
-power-of-two denominator.
+`fermibern.fermint` rely on that.  `EulerCache` keeps only these
+integers and runs the defining recurrence times 2^(n-1) on them,
+
+    e_0 = 1,      e_n = -sum_{l=0}^{n-1} C(n, l) e_l 2^(n-1-l)   for n >= 1;
+
+`fermibern.fermint.integrate` sums them over one power-of-two
+denominator, and E_n = e_n / 2^n is built as a Fraction on read.
 """
 
 from __future__ import annotations
@@ -44,44 +48,38 @@ __all__ = [
 
 
 class EulerCache:
-    """Monotonically growing table of Euler numbers E_0..E_n.
+    """Monotonically growing table of the integers e_m = 2^m E_m.
 
-    Beside each E_m it keeps the integer e_m = 2^m E_m for `scaled`.
-    Reads of already computed entries take no lock (the backing lists are
+    `value` and `prefix` build the Fractions E_m = e_m / 2^m on read.
+    Reads of already computed entries take no lock (the table is
     append-only), extension is serialized, so the cache is safe to share
     across threads.
     """
 
     def __init__(self) -> None:
         self._scaled: list[int] = [1]
-        self._values: list[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
 
     def ensure(self, n: int) -> None:
         """Extend the table through index n."""
         if n < 0:
             raise ValueError("Euler number index must be nonnegative")
-        if len(self._values) > n:
+        if len(self._scaled) > n:
             return
         with self._lock:
-            while len(self._values) <= n:
-                m = len(self._values)
-                acc = sum(binom(m, l) * self._values[l] for l in range(m))
-                # from sum_{l<=m} C(m,l) E_l + E_m = 0, i.e. 2 E_m = -acc
-                value = -acc / 2
-                # the denominator of E_m is 2^k with k <= m
-                self._scaled.append(value.numerator << (m + 1 - value.denominator.bit_length()))
-                # _values is the one the lock-free check reads: append it last
-                self._values.append(value)
+            e = self._scaled
+            while len(e) <= n:
+                m = len(e)
+                e.append(-sum(binom(m, l) * e[l] << (m - 1 - l) for l in range(m) if e[l]))
 
     def value(self, n: int) -> Fraction:
         self.ensure(n)
-        return self._values[n]
+        return Fraction(self._scaled[n], 1 << n)
 
     def prefix(self, n: int) -> list[Fraction]:
         """E_0..E_n as a list."""
         self.ensure(n)
-        return self._values[: n + 1]
+        return [Fraction(e, 1 << j) for j, e in enumerate(self._scaled[: n + 1])]
 
     def scaled(self, n: int) -> list[int]:
         """The integers 2^j E_j for j = 0..n."""
@@ -104,11 +102,9 @@ def euler_numbers(n: int, cache: EulerCache = DEFAULT_CACHE) -> list[Fraction]:
 
 def euler_poly(n: int, cache: EulerCache = DEFAULT_CACHE) -> Poly:
     """The Euler polynomial E_n(x), monic of degree exactly n."""
-    values = cache.prefix(n)
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        coeffs[n - l] = binom(n, l) * values[l]
-    return Poly(coeffs)
+    e = cache.scaled(n)
+    # C(n, i) E_{n-i} = C(n, i) e_{n-i} 2^i / 2^n
+    return Poly([binom(n, i) * e[n - i] << i for i in range(n + 1)]) * Fraction(1, 1 << n)
 
 
 def euler_reflect_check(n: int, cache: EulerCache = DEFAULT_CACHE) -> bool:

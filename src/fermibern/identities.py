@@ -116,6 +116,11 @@ DEFAULT_EULER_N_MAX = 60
 # run is refused up front (n_max = 9, m_max = 2 is 88,572 products and
 # about 20 s on a 2-CPU box; n_max = 10 would be three times that).
 FULL_PRODUCTS_MAX = 100_000
+# T1..C13 sweep the cases counted by `_products`; past this many a run is
+# refused up front.  Every default range is far below it, and so is T12
+# with s_max = 5 (134,592 cases, about 6 s and 130 MB on a 2-CPU box); each
+# report holds about 1 KB until the run ends.
+PRODUCTS_MAX = 150_000
 
 
 @dataclass(frozen=True)
@@ -295,54 +300,76 @@ _F = {
 
 
 # -- the product families --------------------------------------------------------
-# family(**ranges) lazily yields (key tail, params, k, factors): factors are
+# family(**ranges) yields (key tail, params, k, factors) lazily: factors are
 # (k_i, n_i, m_i) triples for prod_i B_{k_i,n_i}^{m_i}, which `_sweep` builds
 # only for a case that reaches an oracle row.  A family ignores ranges it has
-# no use for, and never lists its cases: the T10..C13 ranges have no cap.
+# no use for, and counts its cases when it is made, without listing them: a
+# range over PRODUCTS_MAX (T1..C13) or FULL_PRODUCTS_MAX (T14/C15) is refused.
 
-def _products(ks, cands, counts, params):
+def _capped(label: str, counts, limit: int) -> None:
+    """Refuse the sweep `label` once the running sum of `counts` passes `limit`."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > limit:
+            raise ValueError(f"{label} would sweep at least {total} products, "
+                             f"more than the {limit} allowed")
+
+
+def _products(label, ks, n_range, m_max, counts, params):
     """prod_i B_{k,n_i}^{m_i} for each k in ks and each nondecreasing run of
-    entries (n, m) of cands(k) whose length is in counts; runs of one length
-    come in lexicographic order, so consecutive runs share long prefixes.
-    Key tail (s, k, n_i..., m_i...)."""
-    for k in ks:
-        row = [(k, n, m) for n, m in cands(k)]
-        for factors in itertools.chain.from_iterable(
-                itertools.combinations_with_replacement(row, s) for s in counts):
-            ns, ms = tuple(f[1] for f in factors), tuple(f[2] for f in factors)
-            yield (len(ns), k, ns, ms), params(k, ns, ms), k, factors
+    pairs (n, m), n in the range n_range(k) and 1 <= m <= m_max, whose length
+    is in counts; runs of one length come in lexicographic order, so consecutive
+    runs share long prefixes.  Key tail (s, k, n_i..., m_i...).
+
+    Not a generator: the run count, sum_k sum_s C(width_k + s - 1, s) with
+    width_k = len(n_range(k)) m_max, is checked when the family is made.
+    """
+    _capped(label, (math.comb(w + s - 1, s) for w in (len(n_range(k)) * m_max for k in ks)
+                    if w for s in counts), PRODUCTS_MAX)
+
+    def cases():
+        for k in ks:
+            row = [(k, n, m) for n in n_range(k) for m in range(1, m_max + 1)]
+            for s in counts:
+                for factors in itertools.combinations_with_replacement(row, s):
+                    _, n_i, m_i = zip(*factors)
+                    yield (s, k, n_i, m_i), params(k, n_i, m_i), k, factors
+    return cases()
 
 
 def _ladder(n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
-    return _products((0,), lambda k: [(n, 1) for n in range(1, n_max + 1)],
+    return _products(f"T1 with n_max={n_max}", (0,), lambda k: range(1, n_max + 1), 1,
                      (1,), lambda k, ns, ms: {"n": ns[0]})
 
 
-def _fixed(count: int, n_default: int, names: tuple, lo=lambda k: 0):
+def _fixed(sids: str, count: int, n_default: int, names: tuple, lo=lambda k: 0):
     """`count` factors B_{k,n}, lo(k) <= n <= n_max, k <= k_max (default n_max)."""
     def family(n_max=n_default, k_max=None, **_):
-        return _products(range((n_max if k_max is None else k_max) + 1),
-                         lambda k: [(n, 1) for n in range(lo(k), n_max + 1)], (count,),
+        k_max = n_max if k_max is None else k_max
+        return _products(f"{sids} with n_max={n_max}, k_max={k_max}", range(k_max + 1),
+                         lambda k: range(lo(k), n_max + 1), 1, (count,),
                          lambda k, ns, ms: dict(zip(names, (k,) + ns)))
     return family
 
 
-_single = _fixed(1, DEFAULT_SINGLE_N_MAX, ("k", "n"), lo=lambda k: k)  # P2, T3, C4
-_two = _fixed(2, DEFAULT_TWO_DEG_MAX, ("k", "n", "m"))                  # T5, P6, C7
-_three = _fixed(3, DEFAULT_THREE_DEG_MAX, ("k", "n", "m", "s"))         # T8, C9
+_single = _fixed("P2/T3/C4", 1, DEFAULT_SINGLE_N_MAX, ("k", "n"), lo=lambda k: k)
+_two = _fixed("T5/P6/C7", 2, DEFAULT_TWO_DEG_MAX, ("k", "n", "m"))
+_three = _fixed("T8/C9", 3, DEFAULT_THREE_DEG_MAX, ("k", "n", "m", "s"))
 
 
 def _sfold(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
            s_max=DEFAULT_SFOLD_S_MAX, **_):                             # T10, C11
-    return _products(range(k_max + 1),
-                     lambda k: [(n, 1) for n in range(n_max + 1)], range(1, s_max + 1),
+    return _products(f"T10/C11 with n_max={n_max}, k_max={k_max}, s_max={s_max}",
+                     range(k_max + 1), lambda k: range(n_max + 1), 1, range(1, s_max + 1),
                      lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns)})
 
 
 def _mult(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
           s_max=DEFAULT_SFOLD_S_MAX, m_max=DEFAULT_MULT_M_MAX, **_):   # T12, C13
-    cands = [(n, m) for n in range(n_max + 1) for m in range(1, m_max + 1)]
-    return _products(range(k_max + 1), lambda k: cands, range(1, s_max + 1),
+    return _products(f"T12/C13 with n_max={n_max}, k_max={k_max}, s_max={s_max}, "
+                     f"m_max={m_max}", range(k_max + 1), lambda k: range(n_max + 1),
+                     m_max, range(1, s_max + 1),
                      lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns),
                                         "m": list(ms)})
 
@@ -352,13 +379,8 @@ def _full(n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
 
     Not a generator: the product count is checked when the family is made.
     """
-    count = 0
-    for n in range(n_max + 1):
-        count += (m_max + 1) ** (n + 1)
-        if count > FULL_PRODUCTS_MAX:
-            raise ValueError(f"T14/C15 with n_max={n_max}, m_max={m_max} would sweep "
-                             f"at least {count} products, more than the "
-                             f"{FULL_PRODUCTS_MAX} allowed")
+    _capped(f"T14/C15 with n_max={n_max}, m_max={m_max}",
+            ((m_max + 1) ** (n + 1) for n in range(n_max + 1)), FULL_PRODUCTS_MAX)
     return (((n, ms), {"n": n, "m": list(ms)}, None,
              tuple((i, n, m) for i, m in enumerate(ms)))
             for n in range(n_max + 1)
@@ -484,7 +506,7 @@ def run_suites(ids: Union[str, Sequence[str]], *,
         if row.sid in out and (row.edition is None or row.edition in variants):
             families.setdefault(row.family, []).append(row)
     # make every family before sweeping any, so that a refused range
-    # (FULL_PRODUCTS_MAX) costs nothing
+    # (PRODUCTS_MAX, FULL_PRODUCTS_MAX) costs nothing
     sweeps = [(family(**ranges), rows) for family, rows in families.items()]
     for cases, rows in sweeps:
         _sweep(cases, rows, cache, out)

@@ -26,8 +26,8 @@ class TestBasisPolys:
 
     def test_index_past_degree_gives_zero(self):
         assert bernstein_poly(5, 3) == Poly.zero()
-        assert bernstein_poly(5, 3).is_zero
-        assert bernstein_poly(4, 3).is_zero
+        assert bernstein_poly(5, 3).is_zero()
+        assert bernstein_poly(4, 3).is_zero()
 
     def test_negative_indices_rejected(self):
         with pytest.raises(ValueError):

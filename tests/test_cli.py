@@ -204,6 +204,7 @@ class TestUsageErrors:
         ["verify", "T14", "--n-max", "12"],
         ["bernstein", "0", "15000"],
         ["padic-trace", "0,1", "3317044064679887385961981", "1"],
+        ["verify", "C13", "--s-max", "30"],
     ])
     def test_exit_code_two(self, argv, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out"

@@ -82,6 +82,15 @@ class TestEulerPolynomials:
             assert p.degree == n
             assert p.coeff(n) == 1
 
+    def test_coefficients_against_series_oracle(self):
+        # the x^(n-l) coefficient of E_n(x) is C(n, l) E_l
+        reference = euler_numbers_by_series(150)
+        cache = EulerCache()
+        for n in range(151):
+            p = euler_poly(n, cache)
+            assert [p.coeff(n - l) for l in range(n + 1)] == [
+                binom(n, l) * reference[l] for l in range(n + 1)]
+
     def test_value_at_zero_is_euler_number(self):
         for n in range(31):
             assert euler_poly(n)(0) == euler_number(n)
@@ -119,6 +128,15 @@ class TestEulerCache:
         assert [Fraction(e, 2**j) for j, e in enumerate(scaled)] == reference
         assert cache.prefix(200) == reference
         assert cache.scaled(7) == [1, -1, 0, 2, 0, -16, 0, 272]
+
+    def test_reads_agree_with_the_integer_table(self):
+        # value and prefix build their Fractions from the integers e_j
+        cache = EulerCache()
+        scaled = cache.scaled(300)
+        prefix = cache.prefix(300)
+        for n in range(301):
+            assert cache.value(n) == Fraction(scaled[n], 2**n) == prefix[n]
+            assert cache.prefix(n) == prefix[: n + 1]
 
     def test_prefix_matches_values(self):
         cache = EulerCache()

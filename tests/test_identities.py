@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ class TestProductSpec:
 
     def test_index_past_degree_kills_product(self):
         spec = ProductSpec(((5, 3, 1), (0, 2, 1)))
-        assert spec.poly().is_zero
+        assert spec.poly().is_zero()
         assert oracle_integral(spec) == 0
 
     def test_negative_entries_rejected(self):
@@ -456,6 +457,20 @@ class TestCostGuard:
         with pytest.raises(ValueError, match="T14/C15"):
             run_suites(["C15"], n_max=10**9, m_max=0)
 
+    def test_oversized_product_sweep_is_refused_up_front(self, monkeypatch):
+        def no_products(*args):
+            raise AssertionError("a product was built before the refusal")
+        monkeypatch.setattr(identities, "_bern_power", no_products)
+        for ids in (["T10"], ["C11"], ["T12"], ["C13"], ["T1", "T12"], "ALL"):
+            with pytest.raises(ValueError, match=r"at least \d+ products"):
+                run_suites(ids, s_max=30)
+        with pytest.raises(ValueError, match="T12/C13"):
+            run_suites(["C13"], n_max=10**9)
+        with pytest.raises(ValueError, match="T1 "):
+            run_suites(["T1"], n_max=10**9)
+        with pytest.raises(ValueError, match="T5/P6/C7"):
+            run_suites(["P6"], k_max=10**9)
+
     def test_limit_sits_between_the_last_allowed_and_first_refused_range(self):
         def count(n_max, m_max):
             return sum((m_max + 1) ** (n + 1) for n in range(n_max + 1))
@@ -464,6 +479,19 @@ class TestCostGuard:
         assert count(9, 2) <= limit < count(10, 2)
         # ranges that ignore T14/C15 are not limited by it
         assert run_suites(["T1"], n_max=12)
+
+    def test_product_limit_admits_every_default_and_t12_at_s_max_five(self):
+        def count(s_max):  # T12/C13 at the default n_max = 8, k_max = 3, m_max = 2
+            return 4 * sum(math.comb(9 * 2 + s - 1, s) for s in range(1, s_max + 1))
+        limit = identities.PRODUCTS_MAX
+        assert count(identities.DEFAULT_SFOLD_S_MAX) == 29_256
+        assert count(s_max=5) == 134_592 <= limit < count(s_max=6)
+        for family in (identities._ladder, identities._single, identities._two,
+                       identities._three, identities._sfold, identities._mult):
+            family()
+        identities._mult(s_max=5)
+        with pytest.raises(ValueError, match="s_max=6, m_max=2 would sweep"):
+            identities._mult(s_max=6)
 
 
 class TestCatalogEngine:
@@ -502,10 +530,10 @@ class TestCatalogEngine:
         assert 0 < len(calls) <= 4_000
 
     def test_families_stream_their_cases(self):
-        # about 6e13 runs (C(171, 8) of length 8 for each of 4 k): the family
-        # must not list them first
+        # 126,500 runs of up to 250 factors, under PRODUCTS_MAX, take about
+        # 3 s to list on a 2-CPU box: the family must not list them first
         start = time.perf_counter()
-        tail, params, k, factors = next(identities._mult(n_max=40, s_max=8, m_max=4))
+        tail, params, k, factors = next(identities._mult(n_max=1, s_max=250, m_max=1))
         assert time.perf_counter() - start < 1.0
         assert (tail, params, k, factors) == (
             (1, 0, (0,), (1,)), {"k": 0, "s": 1, "n": [0], "m": [1]}, 0, ((0, 0, 1),))
