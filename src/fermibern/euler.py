@@ -50,8 +50,8 @@ __all__ = [
 class EulerCache:
     """Monotonically growing table of the integers e_m = 2^m E_m.
 
-    `value` and `prefix` build the Fractions E_m = e_m / 2^m on read.
-    Reads of already computed entries take no lock (the table is
+    `euler_number` and `euler_numbers` build the Fractions E_m = e_m / 2^m
+    on read.  Reads of already computed entries take no lock (the table is
     append-only), extension is serialized, so the cache is safe to share
     across threads.
     """
@@ -72,15 +72,6 @@ class EulerCache:
                 m = len(e)
                 e.append(-sum(binom(m, l) * e[l] << (m - 1 - l) for l in range(m) if e[l]))
 
-    def value(self, n: int) -> Fraction:
-        self.ensure(n)
-        return Fraction(self._scaled[n], 1 << n)
-
-    def prefix(self, n: int) -> list[Fraction]:
-        """E_0..E_n as a list."""
-        self.ensure(n)
-        return [Fraction(e, 1 << j) for j, e in enumerate(self._scaled[: n + 1])]
-
     def scaled(self, n: int) -> list[int]:
         """The integers 2^j E_j for j = 0..n."""
         self.ensure(n)
@@ -92,12 +83,13 @@ DEFAULT_CACHE = EulerCache()
 
 def euler_number(n: int, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
     """E_n via the defining recurrence, memoized."""
-    return cache.value(n)
+    cache.ensure(n)
+    return Fraction(cache._scaled[n], 1 << n)
 
 
 def euler_numbers(n: int, cache: EulerCache = DEFAULT_CACHE) -> list[Fraction]:
     """E_0..E_n in one call."""
-    return cache.prefix(n)
+    return [Fraction(e, 1 << j) for j, e in enumerate(cache.scaled(n))]
 
 
 def euler_poly(n: int, cache: EulerCache = DEFAULT_CACHE) -> Poly:

@@ -59,9 +59,10 @@ exactly as the catalog states it ((-1)^(j+2k), (-1)^(3k-j), ...) rather
 than parity-simplified; the tests check both spellings agree.
 
 A suite other than EULER is one row of `_CATALOG` per part (T14 I, II) and
-edition (corrected, as-printed): the family of products it sweeps, its
-precondition and its two sides, each the oracle or a literal formula
-written once in `_F`; run_suites loops over the rows.
+edition (corrected, as-printed): the family of products it sweeps and its
+two sides, each the oracle or a literal formula written once in `_F`, which
+is None where its text does not apply (no report); run_suites loops over
+the rows.
 """
 
 from __future__ import annotations
@@ -270,32 +271,33 @@ def _alt(width: int, sign: Callable[[int], int], index: Callable[[int], int],
 # index k (None for T14), the factor count s, the total degree T and the
 # lower index sum K; the single- and two-factor entries read n = T and
 # n + m = T.  T12's text tests k = 0, which for T12 is K = 0; its formula
-# is shared with T14(I).  None marks a row the text cannot evaluate (C13 as
-# printed reads E_{K-j} for j up to T - K).
+# is shared with T14(I).  None means the text does not apply to the case:
+# every T-form holds only for T > K (k < n, n + m > 2k, ...), and C13 as
+# printed reads E_{K-j} for j up to T - K.
 _F = {
     "T1": lambda E, k, s, T, K: 2 + E[T],
     "P2": lambda E, k, s, T, K: _alt(T - k, lambda j: (-1) ** j, lambda j: k + j, E),
-    "T3": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+    "T3": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
         k, lambda j: (-1) ** (k - j), lambda j: T - j, E),
     "P6": lambda E, k, s, T, K: _alt(
         T - 2 * k, lambda j: (-1) ** j, lambda j: 2 * k + j, E),
-    "T5": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+    "T5": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
         2 * k, lambda j: (-1) ** (j + 2 * k), lambda j: T - j, E),
     "C9": lambda E, k, s, T, K: _alt(
         T - 3 * k, lambda j: (-1) ** j, lambda j: 3 * k + j, E),
-    "T8": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+    "T8": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
         3 * k, lambda j: (-1) ** (3 * k - j), lambda j: T - j, E),
     "C11": lambda E, k, s, T, K: _alt(
         T - s * k, lambda j: (-1) ** j, lambda j: s * k + j, E),
-    "T10": lambda E, k, s, T, K: 2 + E[T] if k == 0 else _alt(
+    "T10": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
         s * k, lambda j: (-1) ** (s * k - j), lambda j: T - j, E),
-    "T12": lambda E, k, s, T, K: 2 + E[T] if K == 0 else _alt(
+    "T12": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if K == 0 else _alt(
         K, lambda j: (-1) ** (K - j), lambda j: T - j, E),
     "C13": lambda E, k, s, T, K: _alt(T - K, lambda j: (-1) ** j, lambda j: K + j, E),
     "C13 as printed": lambda E, k, s, T, K: None if T - K > K else _alt(
         T - K, lambda j: (-1) ** j, lambda j: K - j, E),
-    "T14 as printed": lambda E, k, s, T, K: 2 + E[T] if K == 0 else _alt(
-        K, lambda j: (-1) ** (K - j), lambda j: T - K, E),
+    "T14 as printed": lambda E, k, s, T, K: None if T <= K else (
+        2 + E[T] if K == 0 else _alt(K, lambda j: (-1) ** (K - j), lambda j: T - K, E)),
 }
 
 
@@ -324,12 +326,15 @@ def _products(label, ks, n_range, m_max, counts, params):
 
     Not a generator: the run count, sum_k sum_s C(width_k + s - 1, s) with
     width_k = len(n_range(k)) m_max, is checked when the family is made.
+    Widths never grow with k, so both walks end at the first k with no run.
     """
-    _capped(label, (math.comb(w + s - 1, s) for w in (len(n_range(k)) * m_max for k in ks)
-                    if w for s in counts), PRODUCTS_MAX)
+    def live():
+        return itertools.takewhile(lambda k: counts and n_range(k) and m_max, ks)
+    _capped(label, (math.comb(len(n_range(k)) * m_max + s - 1, s)
+                    for k in live() for s in counts), PRODUCTS_MAX)
 
     def cases():
-        for k in ks:
+        for k in live():
             row = [(k, n, m) for n in n_range(k) for m in range(1, m_max + 1)]
             for s in counts:
                 for factors in itertools.combinations_with_replacement(row, s):
@@ -394,12 +399,12 @@ _ORACLE = "oracle"
 
 class _Suite(NamedTuple):
     """One catalog row: a suite, or one part or edition of it.  A side is
-    _ORACLE or a formula of `_F`; against the oracle the right side is
-    scaled by prod_i C(n_i,k_i)^{m_i} (1 for T1).  `edition` is None when
-    the circulating text is correct, else CORRECTED or AS_PRINTED."""
+    _ORACLE or a formula of `_F`, None where the text does not apply (no
+    report); against the oracle the right side is scaled by
+    prod_i C(n_i,k_i)^{m_i} (1 for T1).  `edition` is None when the
+    circulating text is correct, else CORRECTED or AS_PRINTED."""
     sid: str
     family: Callable
-    strict: bool              # requires T > K (k < n, n + m > 2k, ...)
     lhs: object
     rhs: Callable
     part: Optional[str] = None
@@ -407,26 +412,26 @@ class _Suite(NamedTuple):
 
 
 _CATALOG = (
-    _Suite("T1", _ladder, False, _ORACLE, _F["T1"]),
-    _Suite("P2", _single, False, _ORACLE, _F["P2"]),
-    _Suite("T3", _single, True, _ORACLE, _F["T3"]),
-    _Suite("C4", _single, True, _F["P2"], _F["T3"]),
-    _Suite("T5", _two, True, _ORACLE, _F["T5"]),
-    _Suite("P6", _two, False, _ORACLE, _F["P6"]),
-    _Suite("C7", _two, True, _F["P6"], _F["T5"]),
-    _Suite("T8", _three, True, _ORACLE, _F["T8"]),
-    _Suite("C9", _three, True, _F["C9"], _F["T8"]),
-    _Suite("T10", _sfold, True, _ORACLE, _F["T10"]),
-    _Suite("C11", _sfold, True, _F["C11"], _F["T10"]),
-    _Suite("T12", _mult, True, _ORACLE, _F["T12"]),
-    _Suite("C13", _mult, True, _F["C13"], _F["T12"], edition=CORRECTED),
-    _Suite("C13", _mult, True, _F["C13 as printed"], _F["T12"], edition=AS_PRINTED),
+    _Suite("T1", _ladder, _ORACLE, _F["T1"]),
+    _Suite("P2", _single, _ORACLE, _F["P2"]),
+    _Suite("T3", _single, _ORACLE, _F["T3"]),
+    _Suite("C4", _single, _F["P2"], _F["T3"]),
+    _Suite("T5", _two, _ORACLE, _F["T5"]),
+    _Suite("P6", _two, _ORACLE, _F["P6"]),
+    _Suite("C7", _two, _F["P6"], _F["T5"]),
+    _Suite("T8", _three, _ORACLE, _F["T8"]),
+    _Suite("C9", _three, _F["C9"], _F["T8"]),
+    _Suite("T10", _sfold, _ORACLE, _F["T10"]),
+    _Suite("C11", _sfold, _F["C11"], _F["T10"]),
+    _Suite("T12", _mult, _ORACLE, _F["T12"]),
+    _Suite("C13", _mult, _F["C13"], _F["T12"], edition=CORRECTED),
+    _Suite("C13", _mult, _F["C13 as printed"], _F["T12"], edition=AS_PRINTED),
     # the reports of one case come in catalog order: part II before part I
-    _Suite("T14", _full, False, _ORACLE, _F["C13"], "II"),
-    _Suite("T14", _full, True, _ORACLE, _F["T12"], "I", CORRECTED),
-    _Suite("T14", _full, True, _ORACLE, _F["T14 as printed"], "I", AS_PRINTED),
-    _Suite("C15", _full, True, _F["C13"], _F["T12"], edition=CORRECTED),
-    _Suite("C15", _full, True, _F["C13"], _F["T14 as printed"], edition=AS_PRINTED),
+    _Suite("T14", _full, _ORACLE, _F["C13"], "II"),
+    _Suite("T14", _full, _ORACLE, _F["T12"], "I", CORRECTED),
+    _Suite("T14", _full, _ORACLE, _F["T14 as printed"], "I", AS_PRINTED),
+    _Suite("C15", _full, _F["C13"], _F["T12"], edition=CORRECTED),
+    _Suite("C15", _full, _F["C13"], _F["T14 as printed"], edition=AS_PRINTED),
 )
 
 
@@ -446,9 +451,9 @@ def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
         key = (T,) + tail
         oracle = None
         for row in rows:
-            if row.strict and T <= K:
-                continue
             right = literal(row.rhs, args)
+            if right is None:  # the text does not apply to this case
+                continue
             if row.lhs is not _ORACLE:
                 left = literal(row.lhs, args)
             else:

@@ -205,6 +205,8 @@ class TestUsageErrors:
         ["bernstein", "0", "15000"],
         ["padic-trace", "0,1", "3317044064679887385961981", "1"],
         ["verify", "C13", "--s-max", "30"],
+        ["verify", "T10", "--s-max", "0", "--k-max", "1000000000"],
+        ["verify", "T12", "--m-max", "0", "--k-max", "1000000000"],
     ])
     def test_exit_code_two(self, argv, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out"
@@ -233,6 +235,31 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "empty sweep" in err
         assert "T1, T3, C13" in err
+
+
+class TestCostGuard:
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "P2", "--k-max", "1000000000"], 0),
+        (["verify", "T10", "--s-max", "0", "--k-max", "1000000000"], 2),
+        (["verify", "T12", "--m-max", "0", "--k-max", "1000000000"], 2),
+    ])
+    def test_huge_k_max_stops_at_the_last_lower_index_with_a_case(self, argv, code,
+                                                                   capsys):
+        # no case has a lower index past n_max (P2) or comes from an empty
+        # factor count or multiplicity range, so walking k to 10^9 is waste
+        start = time.perf_counter()
+        try:
+            got = main(argv + ["--deterministic"])
+        except SystemExit as exit_:
+            got = exit_.code
+        assert time.perf_counter() - start < 2.0
+        assert got == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert "result: PASS (231 comparisons, 0 unequal)" in out
+            _, at_twenty = run_cli(capsys, "verify", "P2", "--k-max", "20",
+                                   "--deterministic")
+            assert out == at_twenty
 
 
 def test_module_entry_point():

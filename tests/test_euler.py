@@ -126,24 +126,25 @@ class TestEulerCache:
         assert all(type(e) is int for e in scaled)
         reference = euler_numbers_by_series(200)
         assert [Fraction(e, 2**j) for j, e in enumerate(scaled)] == reference
-        assert cache.prefix(200) == reference
+        assert euler_numbers(200, cache) == reference
         assert cache.scaled(7) == [1, -1, 0, 2, 0, -16, 0, 272]
 
     def test_reads_agree_with_the_integer_table(self):
-        # value and prefix build their Fractions from the integers e_j
+        # euler_number and euler_numbers build their Fractions from the
+        # integers e_j
         cache = EulerCache()
         scaled = cache.scaled(300)
-        prefix = cache.prefix(300)
+        prefix = euler_numbers(300, cache)
         for n in range(301):
-            assert cache.value(n) == Fraction(scaled[n], 2**n) == prefix[n]
-            assert cache.prefix(n) == prefix[: n + 1]
+            assert euler_number(n, cache) == Fraction(scaled[n], 2**n) == prefix[n]
+            assert euler_numbers(n, cache) == prefix[: n + 1]
 
     def test_prefix_matches_values(self):
         cache = EulerCache()
-        pre = cache.prefix(12)
+        pre = euler_numbers(12, cache)
         assert len(pre) == 13
         for n, v in enumerate(pre):
-            assert cache.value(n) == v
+            assert euler_number(n, cache) == v
 
     def test_concurrent_fill(self):
         cache = EulerCache()
@@ -152,7 +153,7 @@ class TestEulerCache:
 
         def worker(tag, n):
             try:
-                results[tag] = cache.value(n)
+                results[tag] = euler_number(n, cache)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 

@@ -25,6 +25,7 @@ from fermibern import (
     bernstein_poly,
     binom,
     euler_number,
+    euler_numbers,
     find_counterexample,
     oracle_integral,
     run_suites,
@@ -537,6 +538,23 @@ class TestCatalogEngine:
         assert time.perf_counter() - start < 1.0
         assert (tail, params, k, factors) == (
             (1, 0, (0,), (1,)), {"k": 0, "s": 1, "n": [0], "m": [1]}, 0, ((0, 0, 1),))
+
+    @pytest.mark.parametrize("name, s", [
+        ("T3", 1), ("T5", 2), ("T8", 3), ("T10", 4), ("T12", None), ("T14 as printed", None),
+    ])
+    def test_t_form_applies_only_for_t_above_k(self, name, s):
+        # each T-form holds under T > K (k < n, n + m > 2k, ...) and returns
+        # None, "the text does not apply", elsewhere; the forms with a shared
+        # lower index k have K = s k, T12 and T14(I) read K alone
+        E = euler_numbers(40)
+        for T in range(16):
+            for K in range(16):
+                if s is not None and K % s:
+                    continue
+                k = None if s is None else K // s
+                value = identities._F[name](E, k, s or 1, T, K)
+                assert (value is None) == (T <= K), (T, K)
+                assert value is None or isinstance(value, Fraction)
 
     def test_c13_alone_never_multiplies_polynomials(self, monkeypatch):
         def refuse(self, other):
