@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from datetime import datetime, timezone
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 from .bernstein import bernstein_poly
 from .euler import euler_number, euler_poly
@@ -55,16 +54,33 @@ def _parse_poly(parser: argparse.ArgumentParser, text: str) -> Poly:
         parser.error(f"bad polynomial {text!r}: {exc}")
 
 
-def _emit(parser: argparse.ArgumentParser, text: str,
+def _emit(parser: argparse.ArgumentParser, render: Callable[[TextIO], None],
           out_path: Optional[str]) -> None:
+    """Run `render` on stdout, or on `out_path` opened before it starts."""
     if not out_path:
-        sys.stdout.write(text)
+        render(sys.stdout)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            render(fh)
     except OSError as exc:
         parser.error(f"cannot write {out_path!r}: {exc.strerror or exc}")
+
+
+def _check_printable(reports: Sequence[IdentityReport]) -> None:
+    """Raise ValueError, before any output, if str() of a report's lhs or
+    rhs would pass the int-to-str limit (sys.set_int_max_str_digits), which
+    refuses a value of more than `limit` digits, that is |v| >= 10^limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if not limit:
+        return
+    safe_bits = limit * 3321928 // 1000000  # 2^safe_bits <= 10^limit
+    for r in reports:
+        for v in (r.lhs.numerator, r.lhs.denominator, r.rhs.numerator, r.rhs.denominator):
+            if v.bit_length() > safe_bits and abs(v) >= 10 ** limit:
+                raise ValueError(f"{r.suite} {_params_text(r.params)}: a value has more "
+                                 f"than {limit} digits, the int-to-str limit "
+                                 f"(sys.set_int_max_str_digits)")
 
 
 def _params_text(params: dict) -> str:
@@ -137,19 +153,29 @@ def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_verify_json(reports: Sequence[IdentityReport]) -> str:
-    return "".join(r.to_json() + "\n" for r in reports)
-
-
-def render_verify_csv(reports: Sequence[IdentityReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["suite", "variant", "params", "lhs", "rhs", "equal"])
+def _params_json(reports: Sequence[IdentityReport]):
+    """(report, json.dumps(report.params, sort_keys=True)) for each report;
+    the text is made once for a run of reports that share one params dict."""
+    params = text = None
     for r in reports:
-        writer.writerow([r.suite, r.variant,
-                         json.dumps(r.params, sort_keys=True),
+        if r.params is not params:
+            params, text = r.params, json.dumps(r.params, sort_keys=True)
+        yield r, text
+
+
+def render_verify_json(reports: Sequence[IdentityReport], out: TextIO) -> None:
+    """Write one JSON line per report to `out`, as each is rendered."""
+    for r, params in _params_json(reports):
+        out.write(r.to_json(params) + "\n")
+
+
+def render_verify_csv(reports: Sequence[IdentityReport], out: TextIO) -> None:
+    """Write the CSV header and one row per report to `out`, as each is rendered."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["suite", "variant", "params", "lhs", "rhs", "equal"])
+    for r, params in _params_json(reports):
+        writer.writerow([r.suite, r.variant, params,
                          str(r.lhs), str(r.rhs), str(r.equal).lower()])
-    return buf.getvalue()
 
 
 def _cmd_euler(args, parser) -> int:
@@ -180,7 +206,7 @@ def _cmd_padic_trace(args, parser) -> int:
         lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
         lines.extend(f"{n:>3}  {str(s_n):<24} {gap}" for n, s_n, gap in trace.rows)
         text = "\n".join(lines) + "\n"
-    _emit(parser, text, args.out)
+    _emit(parser, lambda out: out.write(text), args.out)
     return 0
 
 
@@ -192,12 +218,13 @@ def _cmd_verify(args, parser) -> int:
              and (sid in args.suites or "ALL" in args.suites)]
     if empty:
         parser.error(f"empty sweep, no rows for {', '.join(empty)}")
-    if args.format == "json":
-        _emit(parser, render_verify_json(reports), args.out)
-    elif args.format == "csv":
-        _emit(parser, render_verify_csv(reports), args.out)
-    else:
-        _emit(parser, render_verify_table(verdict, args.deterministic), args.out)
+    if args.format == "table":
+        text = render_verify_table(verdict, args.deterministic)
+        _emit(parser, lambda out: out.write(text), args.out)
+    else:  # streamed, so every value is checked before the first byte
+        _check_printable(reports)
+        render = render_verify_json if args.format == "json" else render_verify_csv
+        _emit(parser, lambda out: render(reports, out), args.out)
     return 0 if verdict.ok else 1
 
 

@@ -73,6 +73,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .bernstein import bernstein_poly
@@ -221,16 +222,15 @@ class IdentityReport:
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
-    def to_json(self) -> str:
-        payload = {
-            "suite": self.suite,
-            "params": self.params,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "equal": self.equal,
-            "variant": self.variant,
-        }
-        return json.dumps(payload, sort_keys=True)
+    def to_json(self, params_json: Optional[str] = None) -> str:
+        """The line `json.dumps` gives for the six fields with sorted keys.
+        `params_json`, when given, is `json.dumps(self.params, sort_keys=True)`,
+        made once by a caller for reports that share one params dict."""
+        if params_json is None:
+            params_json = json.dumps(self.params, sort_keys=True)
+        return (f'{{"equal": {"true" if self.equal else "false"}, '
+                f'"lhs": "{self.lhs!s}", "params": {params_json}, "rhs": "{self.rhs!s}", '
+                f'"suite": {_quote(self.suite)}, "variant": {_quote(self.variant)}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "IdentityReport":
@@ -349,10 +349,12 @@ def _ladder(n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
 
 
 def _fixed(sids: str, count: int, n_default: int, names: tuple, lo=lambda k: 0):
-    """`count` factors B_{k,n}, lo(k) <= n <= n_max, k <= k_max (default n_max)."""
+    """`count` factors B_{k,n}, lo(k) <= n <= n_max, k <= k_max (default n_max).
+    A k past n_max makes every factor 0, so k stops at min(k_max, n_max)."""
     def family(n_max=n_default, k_max=None, **_):
         k_max = n_max if k_max is None else k_max
-        return _products(f"{sids} with n_max={n_max}, k_max={k_max}", range(k_max + 1),
+        return _products(f"{sids} with n_max={n_max}, k_max={k_max}",
+                         range(min(k_max, n_max) + 1),
                          lambda k: range(lo(k), n_max + 1), 1, (count,),
                          lambda k, ns, ms: dict(zip(names, (k,) + ns)))
     return family

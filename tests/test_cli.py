@@ -5,11 +5,12 @@ import io
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from fermibern import IdentityReport
-from fermibern.cli import main
+from fermibern.cli import _check_printable, main
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +220,18 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
         assert not out_path.parent.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "T14", "--n-max", "12", "--format", "json"],
+        ["verify", "T1", "T3", "--n-max", "0", "--format", "csv"],
+    ], ids=["refused-range", "empty-sweep"])
+    def test_refusal_leaves_no_out_file(self, argv, capsys, tmp_path):
+        target = tmp_path / "report"
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(target)])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
     def test_oversized_full_sweep_is_refused_at_once(self, capsys):
         start = time.perf_counter()
         with pytest.raises(SystemExit) as info:
@@ -260,6 +273,69 @@ class TestCostGuard:
             _, at_twenty = run_cli(capsys, "verify", "P2", "--k-max", "20",
                                    "--deterministic")
             assert out == at_twenty
+
+    @pytest.mark.parametrize("suite", ["P6", "C9"])
+    def test_k_max_past_n_max_adds_no_rows(self, suite, capsys):
+        # every factor B_{k,n} with k > n_max is 0, so the walk stops at
+        # k = n_max; P6 at k_max = 1000 would otherwise be 150,150 products
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "verify", suite, "--k-max", "1000", "--deterministic")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        _, default = run_cli(capsys, "verify", suite, "--deterministic")
+        assert out == default
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this interpreter")
+class TestPrintLimit:
+    # E_387 is the first Euler number whose numerator has more than 640
+    # digits (644), and 640 is the lowest limit sys.set_int_max_str_digits
+    # accepts
+    @pytest.fixture
+    def limit_640(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            yield 640
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_value_past_the_limit_exits_two_before_any_output(self, fmt, to_file,
+                                                               limit_640, capsys,
+                                                               tmp_path):
+        target = tmp_path / "report"
+        argv = ["verify", "T1", "--n-max", "387", "--format", fmt]
+        with pytest.raises(SystemExit) as info:
+            main(argv + (["--out", str(target)] if to_file else []))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "640" in captured.err and "Traceback" not in captured.err
+        assert not target.exists()
+
+    def test_check_is_exact_at_the_limit(self, limit_640):
+        # str() refuses a value of more than 640 digits, |v| >= 10^640, and
+        # prints every smaller one, numerator or denominator, either sign
+        def report(value):
+            return IdentityReport("T1", {"n": 1}, Fraction(value), Fraction(0))
+        widest = 10**640 - 1
+        for value in (widest, -widest, Fraction(1, widest), Fraction(-widest, 7)):
+            _check_printable([report(value)])
+            str(Fraction(value))
+        for value in (10**640, -10**640, Fraction(1, 10**640), Fraction(2**2200, 3)):
+            with pytest.raises(ValueError, match="640 digits"):
+                _check_printable([report(value)])
+            with pytest.raises(ValueError):
+                str(Fraction(value))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_values_under_the_limit_print(self, fmt, limit_640, capsys):
+        code, out = run_cli(capsys, "verify", "T1", "--n-max", "386", "--format", fmt)
+        assert code == 0
+        assert len(out.splitlines()) == 386 + (fmt == "csv")
 
 
 def test_module_entry_point():

@@ -1,6 +1,7 @@
 """Tests for the identity catalog: reports, sweeps, counterexamples."""
 
 import hashlib
+import io
 import json
 import math
 import time
@@ -380,6 +381,20 @@ class TestReports:
             d = json.loads(line)
             assert list(d) == sorted(d)
 
+    def test_line_is_the_json_dumps_line(self):
+        # the f-string template gives the bytes json.dumps gives, also for
+        # suite and variant strings that need escaping
+        reports = run_suites(["EULER", "T1", "T14"], n_max=3, m_max=1, variant="both")
+        reports.append(IdentityReport('T"1\\', {"n": [1, 2], "k": "\u00e9"},
+                                      Fraction(-7, 2), Fraction(3), "\u00e9d\n"))
+        for r in reports:
+            expected = json.dumps({"suite": r.suite, "params": r.params,
+                                   "lhs": str(r.lhs), "rhs": str(r.rhs),
+                                   "equal": r.equal, "variant": r.variant},
+                                  sort_keys=True)
+            assert r.to_json() == expected
+            assert r.to_json(json.dumps(r.params, sort_keys=True)) == expected
+
     def test_tampered_equal_flag_rejected(self):
         r = run_suites(["T1"], n_max=2)[0]
         d = json.loads(r.to_json())
@@ -470,7 +485,7 @@ class TestCostGuard:
         with pytest.raises(ValueError, match="T1 "):
             run_suites(["T1"], n_max=10**9)
         with pytest.raises(ValueError, match="T5/P6/C7"):
-            run_suites(["P6"], k_max=10**9)
+            run_suites(["P6"], n_max=10**9)
 
     def test_limit_sits_between_the_last_allowed_and_first_refused_range(self):
         def count(n_max, m_max):
@@ -495,21 +510,58 @@ class TestCostGuard:
             identities._mult(s_max=6)
 
 
+JSON_SHA256 = "a8af3dfa1a138a85bb247949e98818f2feec2ba47e20f37c8ebf83085a686e6d"
+CSV_SHA256 = "b795c324739b86639ac57fe9e5bd427e2e83c0afe8b41d87ff1c14f17b68d960"
+
+
+@pytest.fixture(scope="module")
+def full_audit():
+    """The reports of `verify ALL --variant both`, made once for this module."""
+    return run_suites("ALL", variant="both")
+
+
+def _rendered(render, reports):
+    buf = io.StringIO()
+    render(reports, buf)
+    return buf.getvalue()
+
+
+class _Sink:
+    """A text stream that keeps what is written and the longest single write."""
+
+    def __init__(self):
+        self.parts, self.largest = [], 0
+
+    def write(self, text):
+        self.parts.append(text)
+        self.largest = max(self.largest, len(text))
+        return len(text)
+
+
 class TestCatalogEngine:
-    def test_full_audit_is_byte_identical_to_the_reference(self):
+    def test_full_audit_is_byte_identical_to_the_reference(self, full_audit):
         # the reference digests of `verify ALL --variant both --deterministic`
         # rendered as json, as csv and as a table with --expect-typos, and of
         # its corrected reports alone, which is `verify ALL --deterministic`
-        reports = run_suites("ALL", variant="both")
-        assert _sha256(render_verify_json(reports)) == (
-            "a8af3dfa1a138a85bb247949e98818f2feec2ba47e20f37c8ebf83085a686e6d")
-        assert _sha256(render_verify_csv(reports)) == (
-            "b795c324739b86639ac57fe9e5bd427e2e83c0afe8b41d87ff1c14f17b68d960")
+        reports = full_audit
+        assert _sha256(_rendered(render_verify_json, reports)) == JSON_SHA256
+        assert _sha256(_rendered(render_verify_csv, reports)) == CSV_SHA256
         assert _sha256(render_verify_table(_verdict(reports, True), True)) == (
             "7cf090d2752db93d886d1660ab562e1e9ca59e37bac1b69ad28e0b961a5a0276")
         corrected = [r for r in reports if r.variant == CORRECTED]
         assert _sha256(render_verify_table(_verdict(corrected, False), True)) == (
             "bc209a5775cc0907fb777fc6a66ee97da6da39d1d5c1f742e36797552166571b")
+
+    @pytest.mark.parametrize("render, digest", [(render_verify_json, JSON_SHA256),
+                                                (render_verify_csv, CSV_SHA256)],
+                             ids=["json", "csv"])
+    def test_full_audit_is_streamed_in_small_writes(self, full_audit, render, digest):
+        # the 13.9 MB export goes out row by row, never as one string
+        sink = _Sink()
+        render(full_audit, sink)
+        assert len(sink.parts) >= len(full_audit)
+        assert sink.largest <= 64 * 1024
+        assert _sha256("".join(sink.parts)) == digest
 
     def test_products_grow_from_the_shared_prefix(self, monkeypatch):
         # with the powers B_{k,n}^m cached, every multiplication extends a
