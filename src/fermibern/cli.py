@@ -25,6 +25,7 @@ import csv
 import json
 import sys
 from datetime import datetime, timezone
+from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 from .bernstein import bernstein_poly
@@ -68,16 +69,22 @@ def _emit(parser: argparse.ArgumentParser, render: Callable[[TextIO], None],
 
 
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
-    """Raise ValueError, before any output, if str() of a report's lhs or
-    rhs would pass the int-to-str limit (sys.set_int_max_str_digits), which
-    refuses a value of more than `limit` digits, that is |v| >= 10^limit."""
+    """Raise ValueError, before any output, if the printed (reduced) lhs or
+    rhs of a report would pass the int-to-str limit
+    (sys.set_int_max_str_digits), which refuses a value of more than `limit`
+    digits, that is |v| >= 10^limit.  A side is reduced only when its stored
+    numerator or denominator is past the limit."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if not limit:
         return
     safe_bits = limit * 3321928 // 1000000  # 2^safe_bits <= 10^limit
     for r in reports:
-        for v in (r.lhs.numerator, r.lhs.denominator, r.rhs.numerator, r.rhs.denominator):
-            if v.bit_length() > safe_bits and abs(v) >= 10 ** limit:
+        den = r.denominator
+        for num in (r.lhs_numerator, r.rhs_numerator):
+            if max(num.bit_length(), den.bit_length()) <= safe_bits:
+                continue
+            g = gcd(num, den)
+            if any(abs(v) >= 10 ** limit for v in (num // g, den // g)):
                 raise ValueError(f"{r.suite} {_params_text(r.params)}: a value has more "
                                  f"than {limit} digits, the int-to-str limit "
                                  f"(sys.set_int_max_str_digits)")
@@ -174,8 +181,7 @@ def render_verify_csv(reports: Sequence[IdentityReport], out: TextIO) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["suite", "variant", "params", "lhs", "rhs", "equal"])
     for r, params in _params_json(reports):
-        writer.writerow([r.suite, r.variant, params,
-                         str(r.lhs), str(r.rhs), str(r.equal).lower()])
+        writer.writerow([r.suite, r.variant, params, *r.printed(), str(r.equal).lower()])
 
 
 def _cmd_euler(args, parser) -> int:

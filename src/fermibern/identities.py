@@ -62,7 +62,9 @@ A suite other than EULER is one row of `_CATALOG` per part (T14 I, II) and
 edition (corrected, as-printed): the family of products it sweeps and its
 two sides, each the oracle or a literal formula written once in `_F`, which
 is None where its text does not apply (no report); run_suites loops over
-the rows.
+the rows.  The sides of a case of total degree T are compared as integers
+over 2^T: each formula sums the integers e_j = 2^j E_j, shifted up to 2^T,
+and the oracle's product of Bernstein polynomials has integer coefficients.
 """
 
 from __future__ import annotations
@@ -169,17 +171,19 @@ def _build(stack: list, factors: Sequence[tuple[int, int, int]]) -> Poly:
     return stack[-1][1] if stack else Poly.one()
 
 
-def _oracle(stack: list, moments: dict, factors, cache: EulerCache) -> Fraction:
-    """I(Q P) = sum_a q_a I(x^a P) for prod_i B_{k_i,n_i}^{m_i} = Q P, P = B_{k,n}^m
-    the last factor with m > 0: only Q is expanded, by `_build` on `stack`.
-    `moments` maps P's factor to (P, row), row[a] = sum_b p_b e_{a+b} 2^(deg P - b)
-    with e_j = 2^j E_j, so I(x^a P) = row[a] / (den P 2^(a + deg P)).  A factor
-    B_{k,n} with k > n is 0, and so is its product, which builds nothing."""
+def _oracle(stack: list, moments: dict, factors, cache: EulerCache) -> tuple[int, int]:
+    """I(Q P) as (numerator, positive denominator), for prod_i B_{k_i,n_i}^{m_i} = Q P,
+    P = B_{k,n}^m the last factor with m > 0: only Q is expanded, by `_build` on
+    `stack`.  `moments` maps P's factor to (P, row), row[a] = sum_b p_b e_{a+b}
+    2^(deg P - b) with e_j = 2^j E_j, so I(x^a P) = row[a] / (den P 2^(a + deg P)).
+    The denominator is 2^T, T the total degree, unless a factor has one of its
+    own.  A factor B_{k,n} with k > n is 0, and so is its product, which builds
+    nothing."""
     factors = [f for f in factors if f[2]]
     if any(k > n for k, n, _ in factors):
-        return Fraction(0)
+        return 0, 1
     if not factors:
-        return Fraction(1)
+        return 1, 1
     prefix = _build(stack, factors[:-1])
     if factors[-1] not in moments:
         moments[factors[-1]] = (_bern_power(*factors[-1]), [])
@@ -190,8 +194,8 @@ def _oracle(stack: list, moments: dict, factors, cache: EulerCache) -> Fraction:
         row.extend(sum(pb * e[a + b] << (dp - b) for b, pb in enumerate(p) if pb)
                    for a in range(len(row), dq + 1))
     q = prefix.numerators
-    return Fraction(sum(qa * row[a] << (dq - a) for a, qa in enumerate(q) if qa),
-                    (prefix.denominator * power.denominator) << (dq + dp))
+    return (sum(qa * row[a] << (dq - a) for a, qa in enumerate(q) if qa),
+            (prefix.denominator * power.denominator) << (dq + dp))
 
 
 def oracle_integral(spec: ProductSpec, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
@@ -201,26 +205,68 @@ def oracle_integral(spec: ProductSpec, cache: EulerCache = DEFAULT_CACHE) -> Fra
     consults any catalog formula: the prefix is expanded, and the last
     factor is integrated termwise through its Euler moment row (`_oracle`).
     """
-    return _oracle([], {}, spec.factors, cache)
+    return Fraction(*_oracle([], {}, spec.factors, cache))
 
 
-@dataclass(slots=True)
+def _text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+@dataclass(slots=True, eq=False)
 class IdentityReport:
     """One closed-form-vs-reference comparison.
 
-    `equal` is derived, always lhs == rhs exactly (no tolerance anywhere).
-    Serializes to a single JSON object with rationals rendered "num/den".
+    The two sides are integer numerators over one positive denominator, as
+    in `Poly`; a sweep of total degree T stores them over 2^T.  `lhs` and
+    `rhs` are Fractions built on read.  `equal` is derived, always
+    lhs == rhs exactly (no tolerance anywhere), and two reports are equal
+    when their fields and values are, whatever their denominators.
+    Serializes to a single JSON object with rationals rendered "num/den"
+    in lowest terms.
     """
 
     suite: str
     params: dict
-    lhs: Fraction
-    rhs: Fraction
+    lhs_numerator: int
+    rhs_numerator: int
+    denominator: int
     variant: str = CORRECTED
+
+    @classmethod
+    def from_values(cls, suite: str, params: dict, lhs: Union[int, Fraction],
+                    rhs: Union[int, Fraction], variant: str = CORRECTED) -> "IdentityReport":
+        """The report of two rationals, over their least common denominator."""
+        den = math.lcm(lhs.denominator, rhs.denominator)
+        return cls(suite, params, lhs.numerator * (den // lhs.denominator),
+                   rhs.numerator * (den // rhs.denominator), den, variant)
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.lhs_numerator, self.denominator)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_numerator, self.denominator)
 
     @property
     def equal(self) -> bool:
-        return self.lhs == self.rhs
+        return self.lhs_numerator == self.rhs_numerator
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IdentityReport):
+            return NotImplemented
+        d, od = self.denominator, other.denominator
+        return ((self.suite, self.params, self.variant)
+                == (other.suite, other.params, other.variant)
+                and self.lhs_numerator * od == other.lhs_numerator * d
+                and self.rhs_numerator * od == other.rhs_numerator * d)
+
+    def printed(self) -> tuple[str, str]:
+        """lhs and rhs as str(Fraction) prints them."""
+        return (_text(self.lhs_numerator, self.denominator),
+                _text(self.rhs_numerator, self.denominator))
 
     def to_json(self, params_json: Optional[str] = None) -> str:
         """The line `json.dumps` gives for the six fields with sorted keys.
@@ -228,16 +274,16 @@ class IdentityReport:
         made once by a caller for reports that share one params dict."""
         if params_json is None:
             params_json = json.dumps(self.params, sort_keys=True)
+        lhs, rhs = self.printed()
         return (f'{{"equal": {"true" if self.equal else "false"}, '
-                f'"lhs": "{self.lhs!s}", "params": {params_json}, "rhs": "{self.rhs!s}", '
+                f'"lhs": "{lhs}", "params": {params_json}, "rhs": "{rhs}", '
                 f'"suite": {_quote(self.suite)}, "variant": {_quote(self.variant)}}}')
 
     @classmethod
     def from_json(cls, line: str) -> "IdentityReport":
         d = json.loads(line)
-        report = cls(suite=d["suite"], params=d["params"],
-                     lhs=Fraction(d["lhs"]), rhs=Fraction(d["rhs"]),
-                     variant=d["variant"])
+        report = cls.from_values(d["suite"], d["params"], Fraction(d["lhs"]),
+                                 Fraction(d["rhs"]), d["variant"])
         if report.equal != d["equal"]:
             raise ValueError(f"inconsistent equal flag in {line!r}")
         return report
@@ -253,51 +299,57 @@ def _euler_rows(cache: EulerCache, n_max: int = DEFAULT_EULER_N_MAX, **_) -> lis
          lambda n: (Fraction(ev[n].denominator),
                     Fraction(2 ** (ev[n].denominator.bit_length() - 1)))),
     )
-    return [((n, pos), IdentityReport("EULER", {"n": n, "check": check}, *sides(n)))
+    return [((n, pos), IdentityReport.from_values("EULER", {"n": n, "check": check},
+                                                  *sides(n)))
             for pos, (check, ns, sides) in enumerate(checks) for n in ns]
 
 
 # -- the literal formulas ------------------------------------------------------
 
 def _alt(width: int, sign: Callable[[int], int], index: Callable[[int], int],
-         E: Sequence[Fraction]) -> Fraction:
-    """sum_{j=0}^{width} C(width, j) sign(j) E[index(j)]; 0 when width < 0."""
-    terms = [(binom(width, j) * sign(j), E[index(j)]) for j in range(width + 1)]
-    den = math.lcm(*(e.denominator for _, e in terms))
-    return Fraction(sum(c * e.numerator * (den // e.denominator) for c, e in terms), den)
+         e: Sequence[int], T: int) -> int:
+    """2^T sum_{j=0}^{width} C(width, j) sign(j) E[index(j)] over e_i = 2^i E_i,
+    an integer while every index(j) <= T; 0 when width < 0."""
+    total = 0
+    for j in range(width + 1):
+        i = index(j)
+        total += binom(width, j) * sign(j) * e[i] << (T - i)
+    return total
 
 
-# Each formula is f(E, k, s, T, K) over the Euler table E, the shared lower
-# index k (None for T14), the factor count s, the total degree T and the
-# lower index sum K; the single- and two-factor entries read n = T and
+# Each formula is f(e, k, s, T, K) over the table e of e_i = 2^i E_i, the
+# shared lower index k (None for T14), the factor count s, the total degree
+# T and the lower index sum K, and gives its value times 2^T: no index it
+# reads exceeds T.  The single- and two-factor entries read n = T and
 # n + m = T.  T12's text tests k = 0, which for T12 is K = 0; its formula
 # is shared with T14(I).  None means the text does not apply to the case:
 # every T-form holds only for T > K (k < n, n + m > 2k, ...), and C13 as
 # printed reads E_{K-j} for j up to T - K.
 _F = {
-    "T1": lambda E, k, s, T, K: 2 + E[T],
-    "P2": lambda E, k, s, T, K: _alt(T - k, lambda j: (-1) ** j, lambda j: k + j, E),
-    "T3": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
-        k, lambda j: (-1) ** (k - j), lambda j: T - j, E),
-    "P6": lambda E, k, s, T, K: _alt(
-        T - 2 * k, lambda j: (-1) ** j, lambda j: 2 * k + j, E),
-    "T5": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
-        2 * k, lambda j: (-1) ** (j + 2 * k), lambda j: T - j, E),
-    "C9": lambda E, k, s, T, K: _alt(
-        T - 3 * k, lambda j: (-1) ** j, lambda j: 3 * k + j, E),
-    "T8": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
-        3 * k, lambda j: (-1) ** (3 * k - j), lambda j: T - j, E),
-    "C11": lambda E, k, s, T, K: _alt(
-        T - s * k, lambda j: (-1) ** j, lambda j: s * k + j, E),
-    "T10": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else _alt(
-        s * k, lambda j: (-1) ** (s * k - j), lambda j: T - j, E),
-    "T12": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if K == 0 else _alt(
-        K, lambda j: (-1) ** (K - j), lambda j: T - j, E),
-    "C13": lambda E, k, s, T, K: _alt(T - K, lambda j: (-1) ** j, lambda j: K + j, E),
-    "C13 as printed": lambda E, k, s, T, K: None if T - K > K else _alt(
-        T - K, lambda j: (-1) ** j, lambda j: K - j, E),
-    "T14 as printed": lambda E, k, s, T, K: None if T <= K else (
-        2 + E[T] if K == 0 else _alt(K, lambda j: (-1) ** (K - j), lambda j: T - K, E)),
+    "T1": lambda e, k, s, T, K: (2 << T) + e[T],
+    "P2": lambda e, k, s, T, K: _alt(T - k, lambda j: (-1) ** j, lambda j: k + j, e, T),
+    "T3": lambda e, k, s, T, K: None if T <= K else (2 << T) + e[T] if k == 0 else _alt(
+        k, lambda j: (-1) ** (k - j), lambda j: T - j, e, T),
+    "P6": lambda e, k, s, T, K: _alt(
+        T - 2 * k, lambda j: (-1) ** j, lambda j: 2 * k + j, e, T),
+    "T5": lambda e, k, s, T, K: None if T <= K else (2 << T) + e[T] if k == 0 else _alt(
+        2 * k, lambda j: (-1) ** (j + 2 * k), lambda j: T - j, e, T),
+    "C9": lambda e, k, s, T, K: _alt(
+        T - 3 * k, lambda j: (-1) ** j, lambda j: 3 * k + j, e, T),
+    "T8": lambda e, k, s, T, K: None if T <= K else (2 << T) + e[T] if k == 0 else _alt(
+        3 * k, lambda j: (-1) ** (3 * k - j), lambda j: T - j, e, T),
+    "C11": lambda e, k, s, T, K: _alt(
+        T - s * k, lambda j: (-1) ** j, lambda j: s * k + j, e, T),
+    "T10": lambda e, k, s, T, K: None if T <= K else (2 << T) + e[T] if k == 0 else _alt(
+        s * k, lambda j: (-1) ** (s * k - j), lambda j: T - j, e, T),
+    "T12": lambda e, k, s, T, K: None if T <= K else (2 << T) + e[T] if K == 0 else _alt(
+        K, lambda j: (-1) ** (K - j), lambda j: T - j, e, T),
+    "C13": lambda e, k, s, T, K: _alt(T - K, lambda j: (-1) ** j, lambda j: K + j, e, T),
+    "C13 as printed": lambda e, k, s, T, K: None if T - K > K else _alt(
+        T - K, lambda j: (-1) ** j, lambda j: K - j, e, T),
+    "T14 as printed": lambda e, k, s, T, K: None if T <= K else (
+        (2 << T) + e[T] if K == 0 else _alt(
+            K, lambda j: (-1) ** (K - j), lambda j: T - K, e, T)),
 }
 
 
@@ -439,35 +491,42 @@ _CATALOG = (
 
 def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
     """Compare both sides of each row on each case of one family; the
-    oracle is computed at most once per case."""
-    E: list = []
+    oracle is computed at most once per case.  The sides of a case of total
+    degree T are compared as integers over 2^T, or over the oracle's
+    denominator times 2^T when that is not 2^T."""
+    e: list = []
     stack, moments = [], {}  # the last product built and the moment rows, see _oracle
-    literal = lru_cache(maxsize=None)(lambda f, args: f(E, *args))  # args: k, s, T, K
+    literal = lru_cache(maxsize=None)(lambda f, args: f(e, *args))  # args: k, s, T, K
 
     for tail, params, k, factors in cases:
         T = sum(n * m for _, n, m in factors)
         K = sum(i * m for i, _, m in factors)
         args = (k, len(factors), T, K)
-        if T >= len(E):  # no literal index exceeds T
-            E = euler_numbers(T, cache)
+        if T >= len(e):  # no literal index exceeds T
+            e = cache.scaled(T)
         key = (T,) + tail
+        den = 1 << T
         oracle = None
         for row in rows:
             right = literal(row.rhs, args)
             if right is None:  # the text does not apply to this case
                 continue
             if row.lhs is not _ORACLE:
-                left = literal(row.lhs, args)
+                left, row_den = literal(row.lhs, args), den
             else:
                 if oracle is None:
-                    oracle = _oracle(stack, moments, factors, cache)
+                    num, oracle_den = _oracle(stack, moments, factors, cache)
                     scale = math.prod(binom(n, i) ** m for i, n, m in factors)
-                left = oracle
+                    # num / oracle_den against right / 2^T: cross-multiply
+                    # unless oracle_den is 2^T
+                    oracle = ((num, scale, den) if oracle_den == den else
+                              (num << T, scale * oracle_den, oracle_den << T))
+                left, scale, row_den = oracle
                 right = scale * right
             if left is not None:
                 row_params = params if row.part is None else {**params, "part": row.part}
                 out[row.sid].append((key, IdentityReport(row.sid, row_params, left, right,
-                                                         row.edition or CORRECTED)))
+                                                         row_den, row.edition or CORRECTED)))
 
 
 def run_suites(ids: Union[str, Sequence[str]], *,

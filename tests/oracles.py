@@ -4,9 +4,10 @@ Nothing here touches the production code paths: Euler numbers come from
 term-by-term inversion of the exponential series of (e^t + 1)/2, modular
 inverses from the extended Euclidean algorithm, partial sums from a
 direct Fraction loop, valuations from one division by p at a time,
-primality from trial division, and
+primality from trial division,
 polynomials are plain lists of Fractions, lowest degree first, with the
-schoolbook operations on them.  Agreement between these and the package
+schoolbook operations on them, and the catalog's literal formulas are
+summed as Fractions.  Agreement between these and the package
 is the point of most tests.  The package gets S_N from the shift
 equation, so `alternating_sum` is the only plain O(p^N) route to it.
 """
@@ -148,3 +149,41 @@ def bernstein_product_integral(factors, euler: list[Fraction]) -> Fraction:
         for _ in range(m):
             prod = fpoly_mul(prod, base)
     return sum((c * euler[j] for j, c in enumerate(prod)), Fraction(0))
+
+
+# -- the catalog's literal formulas over Fractions -----------------------------
+
+def alt(width: int, sign, index, E: list[Fraction]) -> Fraction:
+    """sum_{j=0}^{width} C(width, j) sign(j) E[index(j)]; 0 when width < 0."""
+    return sum((comb(width, j) * sign(j) * E[index(j)] for j in range(width + 1)),
+               Fraction(0))
+
+
+# The formulas of `fermibern.identities._F`, each f(E, k, s, T, K) over a
+# table E of Euler numbers as Fractions, giving the value itself; None
+# where the text does not apply.
+FRACTION_FORMULAS = {
+    "T1": lambda E, k, s, T, K: 2 + E[T],
+    "P2": lambda E, k, s, T, K: alt(T - k, lambda j: (-1) ** j, lambda j: k + j, E),
+    "T3": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else alt(
+        k, lambda j: (-1) ** (k - j), lambda j: T - j, E),
+    "P6": lambda E, k, s, T, K: alt(
+        T - 2 * k, lambda j: (-1) ** j, lambda j: 2 * k + j, E),
+    "T5": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else alt(
+        2 * k, lambda j: (-1) ** (j + 2 * k), lambda j: T - j, E),
+    "C9": lambda E, k, s, T, K: alt(
+        T - 3 * k, lambda j: (-1) ** j, lambda j: 3 * k + j, E),
+    "T8": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else alt(
+        3 * k, lambda j: (-1) ** (3 * k - j), lambda j: T - j, E),
+    "C11": lambda E, k, s, T, K: alt(
+        T - s * k, lambda j: (-1) ** j, lambda j: s * k + j, E),
+    "T10": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if k == 0 else alt(
+        s * k, lambda j: (-1) ** (s * k - j), lambda j: T - j, E),
+    "T12": lambda E, k, s, T, K: None if T <= K else 2 + E[T] if K == 0 else alt(
+        K, lambda j: (-1) ** (K - j), lambda j: T - j, E),
+    "C13": lambda E, k, s, T, K: alt(T - K, lambda j: (-1) ** j, lambda j: K + j, E),
+    "C13 as printed": lambda E, k, s, T, K: None if T - K > K else alt(
+        T - K, lambda j: (-1) ** j, lambda j: K - j, E),
+    "T14 as printed": lambda E, k, s, T, K: None if T <= K else (
+        2 + E[T] if K == 0 else alt(K, lambda j: (-1) ** (K - j), lambda j: T - K, E)),
+}

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fermibern import IdentityReport
+from fermibern import IdentityReport, cli
 from fermibern.cli import _check_printable, main
 
 
@@ -320,7 +320,7 @@ class TestPrintLimit:
         # str() refuses a value of more than 640 digits, |v| >= 10^640, and
         # prints every smaller one, numerator or denominator, either sign
         def report(value):
-            return IdentityReport("T1", {"n": 1}, Fraction(value), Fraction(0))
+            return IdentityReport.from_values("T1", {"n": 1}, Fraction(value), Fraction(0))
         widest = 10**640 - 1
         for value in (widest, -widest, Fraction(1, widest), Fraction(-widest, 7)):
             _check_printable([report(value)])
@@ -330,6 +330,27 @@ class TestPrintLimit:
                 _check_printable([report(value)])
             with pytest.raises(ValueError):
                 str(Fraction(value))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_the_printed_value_decides_not_the_stored_one(self, fmt, limit_640, capsys,
+                                                           monkeypatch, tmp_path):
+        # a sweep stores both sides over 2^T, so a stored numerator can be
+        # far longer than the reduced one that is printed
+        widest = 10**640 - 1
+        fits = IdentityReport("T1", {"n": 1}, widest << 3000, 0, 1 << 3000)
+        past = IdentityReport("T1", {"n": 1}, 0, 10**640 << 7, 1 << 7)
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [fits])
+        code, out = run_cli(capsys, "verify", "T1", "--format", fmt)
+        assert code == 1  # the sides differ
+        assert str(widest) in out and len(out) < 2 * 640  # not the 1,544 stored digits
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [past])
+        target = tmp_path / "report"
+        for out_args in ([], ["--out", str(target)]):
+            with pytest.raises(SystemExit) as info:
+                main(["verify", "T1", "--format", fmt] + out_args)
+            assert info.value.code == 2
+            assert capsys.readouterr().out == ""
+            assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_values_under_the_limit_print(self, fmt, limit_640, capsys):

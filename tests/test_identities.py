@@ -15,6 +15,7 @@ from fermibern import identities
 from fermibern.euler import DEFAULT_CACHE
 from fermibern.cli import (_verdict, render_verify_csv, render_verify_json,
                            render_verify_table)
+from fermibern.cli import main as cli_main
 from fermibern import (
     AS_PRINTED,
     CORRECTED,
@@ -26,13 +27,12 @@ from fermibern import (
     bernstein_poly,
     binom,
     euler_number,
-    euler_numbers,
     find_counterexample,
     oracle_integral,
     run_suites,
 )
 
-from oracles import bernstein_product_integral, euler_numbers_by_series
+from oracles import FRACTION_FORMULAS, bernstein_product_integral, euler_numbers_by_series
 
 
 PROBES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]
@@ -121,24 +121,37 @@ class TestOracle:
         stack, moments = [], {}
         for factors in runs:
             want = bernstein_product_integral(factors, _SERIES_E)
-            assert identities._oracle(stack, moments, factors, DEFAULT_CACHE) == want
+            num, den = identities._oracle(stack, moments, factors, DEFAULT_CACHE)
+            assert den > 0
+            assert Fraction(num, den) == want
 
     def test_moment_row_grows_with_the_prefix(self):
         stack, moments, last = [], {}, (1, 3, 2)
         for prefix in ([], [(0, 4, 2), (2, 5, 1)], [(1, 1, 1)], [(0, 6, 2)] * 3):
             factors = prefix + [last]
             want = bernstein_product_integral(factors, _SERIES_E)
-            assert identities._oracle(stack, moments, factors, DEFAULT_CACHE) == want
+            num, den = identities._oracle(stack, moments, factors, DEFAULT_CACHE)
+            assert den > 0
+            assert Fraction(num, den) == want
         assert len(moments[last][1]) == 6 * 2 * 3 + 1  # the longest prefix, degree 36
 
     def test_factors_with_a_denominator(self, monkeypatch):
         # the oracle stays exact when the powers it is handed are not integer
+        clean = run_suites(["T12"], n_max=3, s_max=2, m_max=2, k_max=1)
         power = identities._bern_power
         monkeypatch.setattr(identities, "_bern_power",
                             lambda k, n, m: Fraction(1, 3) * power(k, n, m))
         factors = ((2, 5, 1), (1, 3, 2), (0, 4, 2))  # the last one is (1-x)^8 / 3
         want = bernstein_product_integral(factors, _SERIES_E)
         assert oracle_integral(ProductSpec(factors)) == want / 27
+        # the sweep then gets an oracle side over 3^s 2^T, not 2^T, and
+        # cross-multiplies
+        thirds = run_suites(["T12"], n_max=3, s_max=2, m_max=2, k_max=1)
+        assert len(thirds) == len(clean)
+        for r, c in zip(thirds, clean):
+            assert r.params == c.params
+            assert r.lhs * 3 ** r.params["s"] == c.lhs and r.rhs == c.rhs
+        assert any(r.lhs != 0 for r in thirds)
 
     def test_zero_product_builds_nothing(self, monkeypatch):
         def no_products(*args):
@@ -385,8 +398,11 @@ class TestReports:
         # the f-string template gives the bytes json.dumps gives, also for
         # suite and variant strings that need escaping
         reports = run_suites(["EULER", "T1", "T14"], n_max=3, m_max=1, variant="both")
-        reports.append(IdentityReport('T"1\\', {"n": [1, 2], "k": "\u00e9"},
-                                      Fraction(-7, 2), Fraction(3), "\u00e9d\n"))
+        reports.append(IdentityReport.from_values('T"1\\', {"n": [1, 2], "k": "\u00e9"},
+                                                  Fraction(-7, 2), Fraction(3), "\u00e9d\n"))
+        # stored over a denominator the values do not need: printed reduced
+        reports.append(IdentityReport("T1", {"n": 2}, -12, 6, 8))
+        reports.append(IdentityReport("T1", {"n": 3}, 16, 0, 16))
         for r in reports:
             expected = json.dumps({"suite": r.suite, "params": r.params,
                                    "lhs": str(r.lhs), "rhs": str(r.rhs),
@@ -410,10 +426,19 @@ class TestReports:
             assert IdentityReport.from_json(r.to_json()) == r
 
     def test_equal_is_derived(self):
-        r = IdentityReport("T1", {"n": 1}, Fraction(3, 2), Fraction(3, 2))
+        r = IdentityReport.from_values("T1", {"n": 1}, Fraction(3, 2), Fraction(3, 2))
         assert r.equal
-        r.rhs = Fraction(0)
+        r.rhs_numerator = 0
         assert not r.equal
+
+    def test_reports_compare_values_not_denominators(self):
+        r = IdentityReport.from_values("T1", {"n": 1}, Fraction(3, 2), Fraction(-1, 4))
+        assert (r.lhs_numerator, r.rhs_numerator, r.denominator) == (6, -1, 4)
+        assert (r.lhs, r.rhs) == (Fraction(3, 2), Fraction(-1, 4))
+        assert r == IdentityReport("T1", {"n": 1}, 3 << 10, -1 << 9, 1 << 11)
+        assert r != IdentityReport("T1", {"n": 1}, 6, -1, 8)
+        assert r != IdentityReport("T1", {"n": 2}, 6, -1, 4)
+        assert r != IdentityReport("T1", {"n": 1}, 6, -1, 4, AS_PRINTED)
 
 
 class TestRunSuites:
@@ -538,6 +563,34 @@ class _Sink:
         return len(text)
 
 
+# (formula, factor count s) for each formula of `_F`: the formulas with a
+# shared lower index k read K = s k, the others (s None) read K alone
+_T_FORMS = [("T3", 1), ("T5", 2), ("T8", 3), ("T10", 4), ("T12", None),
+            ("T14 as printed", None)]
+_OTHER_FORMS = [("T1", None), ("P2", 1), ("P6", 2), ("C9", 3), ("C11", 4), ("C13", None),
+                ("C13 as printed", None)]
+
+
+def _formula_grid(s):
+    """(T, K, k) for T, K < 16: with a factor count s, K = s k."""
+    for T in range(16):
+        for K in range(16):
+            if s is None or K % s == 0:
+                yield T, K, None if s is None else K // s
+
+
+class _BoundedTable:
+    """A table that refuses an index outside it, where a list would wrap a
+    negative one."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __getitem__(self, i):
+        assert 0 <= i < len(self.table), i
+        return self.table[i]
+
+
 class TestCatalogEngine:
     def test_full_audit_is_byte_identical_to_the_reference(self, full_audit):
         # the reference digests of `verify ALL --variant both --deterministic`
@@ -591,22 +644,44 @@ class TestCatalogEngine:
         assert (tail, params, k, factors) == (
             (1, 0, (0,), (1,)), {"k": 0, "s": 1, "n": [0], "m": [1]}, 0, ((0, 0, 1),))
 
-    @pytest.mark.parametrize("name, s", [
-        ("T3", 1), ("T5", 2), ("T8", 3), ("T10", 4), ("T12", None), ("T14 as printed", None),
-    ])
+    @pytest.mark.parametrize("name, s", _T_FORMS)
     def test_t_form_applies_only_for_t_above_k(self, name, s):
         # each T-form holds under T > K (k < n, n + m > 2k, ...) and returns
         # None, "the text does not apply", elsewhere; the forms with a shared
         # lower index k have K = s k, T12 and T14(I) read K alone
-        E = euler_numbers(40)
-        for T in range(16):
-            for K in range(16):
-                if s is not None and K % s:
-                    continue
-                k = None if s is None else K // s
-                value = identities._F[name](E, k, s or 1, T, K)
-                assert (value is None) == (T <= K), (T, K)
-                assert value is None or isinstance(value, Fraction)
+        e = DEFAULT_CACHE.scaled(40)
+        for T, K, k in _formula_grid(s):
+            value = identities._F[name](e, k, s or 1, T, K)
+            assert (value is None) == (T <= K), (T, K)
+            assert value is None or isinstance(value, int)
+
+    @pytest.mark.parametrize("name, s", _T_FORMS + _OTHER_FORMS)
+    def test_integer_formulas_match_the_fraction_route(self, name, s):
+        # each formula gives 2^T times the value its Fraction form sums from
+        # the series Euler numbers, and None in the same places; no index
+        # it reads passes T
+        assert {n for n, _ in _T_FORMS + _OTHER_FORMS} == set(identities._F)
+        integer, fraction = identities._F[name], FRACTION_FORMULAS[name]
+        for T, K, k in _formula_grid(s):
+            e = _BoundedTable(DEFAULT_CACHE.scaled(T))
+            value, want = integer(e, k, s or 1, T, K), fraction(_SERIES_E, k, s or 1, T, K)
+            assert (value is None) == (want is None), (T, K)
+            assert value is None or Fraction(value, 1 << T) == want, (T, K)
+
+    def test_sweep_builds_few_fractions(self, monkeypatch):
+        # the sides are compared and stored as integer numerators; of the
+        # 89,468 Fractions the sweep once built, the EULER block's remain
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(None)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        reports = run_suites("ALL")
+        assert len(reports) == 76_897 and all(r.equal for r in reports)
+        assert 0 < len(built) < 1_000
 
     def test_c13_alone_never_multiplies_polynomials(self, monkeypatch):
         def refuse(self, other):
@@ -673,3 +748,34 @@ def test_injected_oracle_fault_is_caught(sid, monkeypatch):
     bad = find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES)
     assert bad is not None
     assert bad.suite == sid and bad.variant == CORRECTED and not bad.equal
+
+
+@pytest.mark.parametrize("side", ["literal", "oracle"])
+def test_one_unit_in_the_last_place_is_caught(side, monkeypatch):
+    # one more in a numerator over 2^T is an error of 2^-T, down to 2^-64 in
+    # the default T12 sweep: the sides compare as integers, and lose nothing
+    if side == "literal":
+        row = next(r for r in identities._CATALOG if r.sid == "T12")
+
+        def off_by_one(e, *args):
+            value = row.rhs(e, *args)
+            return None if value is None else value + 1
+
+        monkeypatch.setattr(identities, "_CATALOG", tuple(
+            r._replace(rhs=off_by_one) if r is row else r for r in identities._CATALOG))
+    else:
+        oracle = identities._oracle
+
+        def off_by_one(*args):
+            num, den = oracle(*args)
+            return num + 1, den
+
+        monkeypatch.setattr(identities, "_oracle", off_by_one)
+    reports = run_suites(["T12"])
+    for r in reports:
+        # a zero product (k > n_i) has prefactor 0, which hides the literal's error
+        hidden = side == "literal" and r.params["k"] > min(r.params["n"])
+        assert r.equal == hidden, r
+    assert max(sum(n * m for n, m in zip(r.params["n"], r.params["m"]))
+               for r in reports if not r.equal) == 64
+    assert cli_main(["verify", "T12", "--n-max", "4", "--s-max", "2", "--deterministic"]) == 1
