@@ -76,6 +76,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
+from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .bernstein import bernstein_poly
@@ -156,13 +157,24 @@ def _bern_power(k: int, n: int, m: int) -> Poly:
     return bernstein_poly(k, n) ** m
 
 
+def _factor(k: int, n: int, m: int) -> tuple[int, int, int]:
+    """What B_{k,n}^m adds to a product: n m to its total degree T, k m to its
+    lower index sum K, and C(n,k)^m to its prefactor (0 for a zero factor).
+    `_sweep` caches it per factor."""
+    return n * m, k * m, binom(n, k) ** m
+
+
 def _build(stack: list, factors: Sequence[tuple[int, int, int]]) -> Poly:
     """prod_i B_{k_i,n_i}^{m_i}, grown from the longest prefix it shares with
     the last product built on `stack`, a list of (factor, product up to that
-    factor) that is left holding this product.  Factors with m_i = 0 are 1."""
+    factor) that is left holding this product.  Factors with m_i = 0 are 1.
+    A factor B_{k,n} with k > n is 0, and so is its product, which builds
+    nothing."""
     factors = [f for f in factors if f[2]]
-    shared = 0
-    while shared < min(len(stack), len(factors)) and stack[shared][0] == factors[shared]:
+    if any(k > n for k, n, _ in factors):
+        return Poly.zero()
+    shared, most = 0, min(len(stack), len(factors))
+    while shared < most and stack[shared][0] == factors[shared]:
         shared += 1
     del stack[shared:]
     for f in factors[shared:]:
@@ -171,41 +183,50 @@ def _build(stack: list, factors: Sequence[tuple[int, int, int]]) -> Poly:
     return stack[-1][1] if stack else Poly.one()
 
 
-def _oracle(stack: list, moments: dict, factors, cache: EulerCache) -> tuple[int, int]:
-    """I(Q P) as (numerator, positive denominator), for prod_i B_{k_i,n_i}^{m_i} = Q P,
-    P = B_{k,n}^m the last factor with m > 0: only Q is expanded, by `_build` on
-    `stack`.  `moments` maps P's factor to (P, row), row[a] = sum_b p_b e_{a+b}
-    2^(deg P - b) with e_j = 2^j E_j, so I(x^a P) = row[a] / (den P 2^(a + deg P)).
-    The denominator is 2^T, T the total degree, unless a factor has one of its
-    own.  A factor B_{k,n} with k > n is 0, and so is its product, which builds
-    nothing."""
-    factors = [f for f in factors if f[2]]
-    if any(k > n for k, n, _ in factors):
+def _oracle(q: Poly, last: tuple[int, int, int], moments: dict,
+            cache: EulerCache) -> tuple[int, int]:
+    """I(Q P) as (numerator, positive denominator), for Q = q, the expanded
+    product of all factors but the last, and P = B_{k,n}^m, last = (k, n, m),
+    integrated termwise through its moment row.
+
+    `moments` maps `last` to (P, row), row[a] = r_a 2^(len(row) - 1 - a) with
+    r_a = sum_b p_b e_{a+b} 2^(deg P - b) over e_j = 2^j E_j, so that
+    I(x^a P) = r_a / (den P 2^(a + deg P)).  All of a row is over one power
+    of two, so the numerator over (den Q den P) 2^(deg Q + deg P) is one dot
+    product and an exact shift.  The row grows, and shifts up, when deg Q
+    passes its end.  The denominator is 2^T, T the total degree, unless a
+    factor has one of its own.  A zero product is (0, 1) and builds nothing.
+    """
+    k, n, m = last
+    if not q or (m and k > n):
         return 0, 1
-    if not factors:
-        return 1, 1
-    prefix = _build(stack, factors[:-1])
-    if factors[-1] not in moments:
-        moments[factors[-1]] = (_bern_power(*factors[-1]), [])
-    power, row = moments[factors[-1]]
-    dq, dp = prefix.degree, power.degree
+    memo = moments.get(last)
+    if memo is None:
+        memo = moments[last] = (_bern_power(k, n, m), [])
+    power, row = memo
+    dq, dp = q.degree, power.degree
     if len(row) <= dq:  # a longer prefix than any before: extend the row
-        e, p = cache.scaled(dq + dp), power.numerators
-        row.extend(sum(pb * e[a + b] << (dp - b) for b, pb in enumerate(p) if pb)
+        e, up = cache.scaled(dq + dp), dq + 1 - len(row)
+        p = [pb << (dp - b) for b, pb in enumerate(power.numerators)]
+        row[:] = [r << up for r in row]
+        row.extend(sum(map(mul, p, e[a:a + dp + 1])) << (dq - a)
                    for a in range(len(row), dq + 1))
-    q = prefix.numerators
-    return (sum(qa * row[a] << (dq - a) for a, qa in enumerate(q) if qa),
-            (prefix.denominator * power.denominator) << (dq + dp))
+    return (sum(map(mul, q.numerators, row)) >> (len(row) - 1 - dq),
+            (q.denominator * power.denominator) << (dq + dp))
 
 
 def oracle_integral(spec: ProductSpec, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
     """Brute-force reference value: the product integrated term by term.
 
     This is the route every closed form is judged against.  It never
-    consults any catalog formula: the prefix is expanded, and the last
-    factor is integrated termwise through its Euler moment row (`_oracle`).
+    consults any catalog formula: the factors before the last are
+    expanded, and the last is integrated termwise through its Euler moment
+    row (`_oracle`).
     """
-    return Fraction(*_oracle([], {}, spec.factors, cache))
+    *prefix, last = (0, 0, 0), *spec.factors  # B_{0,0}^0 = 1 heads every product
+    k, n, m = last
+    q = Poly.zero() if m and k > n else _build([], prefix)  # a zero product builds nothing
+    return Fraction(*_oracle(q, last, {}, cache))
 
 
 def _text(num: int, den: int) -> str:
@@ -290,6 +311,7 @@ class IdentityReport:
 
 
 def _euler_rows(cache: EulerCache, n_max: int = DEFAULT_EULER_N_MAX, **_) -> list:
+    """The EULER block, by n and then check."""
     ev = euler_numbers(n_max, cache)
     checks = (
         ("even_zero", range(2, n_max + 1, 2), lambda n: (ev[n], Fraction(0))),
@@ -299,9 +321,8 @@ def _euler_rows(cache: EulerCache, n_max: int = DEFAULT_EULER_N_MAX, **_) -> lis
          lambda n: (Fraction(ev[n].denominator),
                     Fraction(2 ** (ev[n].denominator.bit_length() - 1)))),
     )
-    return [((n, pos), IdentityReport.from_values("EULER", {"n": n, "check": check},
-                                                  *sides(n)))
-            for pos, (check, ns, sides) in enumerate(checks) for n in ns]
+    return [IdentityReport.from_values("EULER", {"n": n, "check": check}, *sides(n))
+            for n in range(n_max + 1) for check, ns, sides in checks if n in ns]
 
 
 # -- the literal formulas ------------------------------------------------------
@@ -354,11 +375,15 @@ _F = {
 
 
 # -- the product families --------------------------------------------------------
-# family(**ranges) yields (key tail, params, k, factors) lazily: factors are
-# (k_i, n_i, m_i) triples for prod_i B_{k_i,n_i}^{m_i}, which `_sweep` builds
-# only for a case that reaches an oracle row.  A family ignores ranges it has
-# no use for, and counts its cases when it is made, without listing them: a
-# range over PRODUCTS_MAX (T1..C13) or FULL_PRODUCTS_MAX (T14/C15) is refused.
+# family(**ranges) yields runs (k, prefix, cases) lazily: the cases of a run
+# are the products prefix + (last,), each given as (last, key tail, params),
+# where a factor (k_i, n_i, m_i) stands for B_{k_i,n_i}^{m_i}; the cases come
+# in the order of `combinations_with_replacement` or `product` over all the
+# factors, so `_sweep` handles a prefix once per run, and builds its product
+# only for a run that reaches an oracle row.  Sorted, the key tails order the
+# cases of one total degree.  A family ignores ranges it has no use for, and
+# counts its cases when it is made, without listing them: a range over
+# PRODUCTS_MAX (T1..C13) or FULL_PRODUCTS_MAX (T14/C15) is refused.
 
 def _capped(label: str, counts, limit: int) -> None:
     """Refuse the sweep `label` once the running sum of `counts` passes `limit`."""
@@ -371,28 +396,34 @@ def _capped(label: str, counts, limit: int) -> None:
 
 
 def _products(label, ks, n_range, m_max, counts, params):
-    """prod_i B_{k,n_i}^{m_i} for each k in ks and each nondecreasing run of
-    pairs (n, m), n in the range n_range(k) and 1 <= m <= m_max, whose length
-    is in counts; runs of one length come in lexicographic order, so consecutive
-    runs share long prefixes.  Key tail (s, k, n_i..., m_i...).
+    """prod_i B_{k,n_i}^{m_i} for each k in ks and each nondecreasing sequence
+    of pairs (n, m), n in the range n_range(k) and 1 <= m <= m_max, whose
+    length s is in counts; the sequences of one length come in lexicographic
+    order, one run for each of their first s - 1 pairs, so consecutive runs
+    share long prefixes.  Key tail (s, k, n_1..n_{s-1}, n_s, m_1..m_{s-1},
+    m_s), which sorts as (s, k, n_i..., m_i...) would; the params of a case
+    are params(k, [n_i...], [m_i...]).
 
-    Not a generator: the run count, sum_k sum_s C(width_k + s - 1, s) with
+    Not a generator: the case count, sum_k sum_s C(width_k + s - 1, s) with
     width_k = len(n_range(k)) m_max, is checked when the family is made.
-    Widths never grow with k, so both walks end at the first k with no run.
+    Widths never grow with k, so both walks end at the first k with no case.
     """
     def live():
         return itertools.takewhile(lambda k: counts and n_range(k) and m_max, ks)
     _capped(label, (math.comb(len(n_range(k)) * m_max + s - 1, s)
                     for k in live() for s in counts), PRODUCTS_MAX)
 
-    def cases():
+    def runs():
         for k in live():
             row = [(k, n, m) for n in n_range(k) for m in range(1, m_max + 1)]
+            ends = {f: row[i:] for i, f in enumerate(row)}  # the factors from f on
             for s in counts:
-                for factors in itertools.combinations_with_replacement(row, s):
-                    _, n_i, m_i = zip(*factors)
-                    yield (s, k, n_i, m_i), params(k, n_i, m_i), k, factors
-    return cases()
+                for prefix in itertools.combinations_with_replacement(row, s - 1):
+                    _, ns, ms = zip(*prefix) if prefix else ((), (), ())
+                    yield k, prefix, [((k, n, m), (s, k, ns, n, ms, m),
+                                       params(k, [*ns, n], [*ms, m]))
+                                      for _, n, m in (ends[prefix[-1]] if prefix else row)]
+    return runs()
 
 
 def _ladder(n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
@@ -408,7 +439,7 @@ def _fixed(sids: str, count: int, n_default: int, names: tuple, lo=lambda k: 0):
         return _products(f"{sids} with n_max={n_max}, k_max={k_max}",
                          range(min(k_max, n_max) + 1),
                          lambda k: range(lo(k), n_max + 1), 1, (count,),
-                         lambda k, ns, ms: dict(zip(names, (k,) + ns)))
+                         lambda k, ns, ms: dict(zip(names, [k, *ns])))
     return family
 
 
@@ -421,7 +452,7 @@ def _sfold(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
            s_max=DEFAULT_SFOLD_S_MAX, **_):                             # T10, C11
     return _products(f"T10/C11 with n_max={n_max}, k_max={k_max}, s_max={s_max}",
                      range(k_max + 1), lambda k: range(n_max + 1), 1, range(1, s_max + 1),
-                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns)})
+                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": ns})
 
 
 def _mult(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
@@ -429,21 +460,22 @@ def _mult(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
     return _products(f"T12/C13 with n_max={n_max}, k_max={k_max}, s_max={s_max}, "
                      f"m_max={m_max}", range(k_max + 1), lambda k: range(n_max + 1),
                      m_max, range(1, s_max + 1),
-                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": list(ns),
-                                        "m": list(ms)})
+                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": ns, "m": ms})
 
 
 def _full(n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
     """T14, C15: prod_{i=0}^{n} B_{i,n}^{m_i}, one lower index per factor.
+    Key tail (n, m_0..m_{n-1}, m_n), which sorts as (n, m_i...) would.
 
     Not a generator: the product count is checked when the family is made.
     """
     _capped(f"T14/C15 with n_max={n_max}, m_max={m_max}",
             ((m_max + 1) ** (n + 1) for n in range(n_max + 1)), FULL_PRODUCTS_MAX)
-    return (((n, ms), {"n": n, "m": list(ms)}, None,
-             tuple((i, n, m) for i, m in enumerate(ms)))
+    return ((None, tuple((i, n, m) for i, m in enumerate(head)),
+             [((n, n, m), (n, head, m), {"n": n, "m": [*head, m]})
+              for m in range(m_max + 1)])
             for n in range(n_max + 1)
-            for ms in itertools.product(range(m_max + 1), repeat=n + 1))
+            for head in itertools.product(range(m_max + 1), repeat=n))
 
 
 # -- the catalog -------------------------------------------------------------------
@@ -489,44 +521,84 @@ _CATALOG = (
 )
 
 
-def _sweep(cases, rows: list, cache: EulerCache, out: dict) -> None:
-    """Compare both sides of each row on each case of one family; the
-    oracle is computed at most once per case.  The sides of a case of total
-    degree T are compared as integers over 2^T, or over the oracle's
-    denominator times 2^T when that is not 2^T."""
+def _sides(rows: list, e: Sequence[int], args: tuple) -> list:
+    """Each row's (lhs, rhs) on one case, args = (k, s, T, K): _ORACLE or a
+    formula's value, both None where the text does not apply.  A formula
+    runs once, and a left one only where the right one applies."""
+    value = {_ORACLE: _ORACLE}
+
+    def side(f):
+        if f not in value:
+            value[f] = f(e, *args)
+        return value[f]
+
+    return [(None, None) if (right := side(row.rhs)) is None else (side(row.lhs), right)
+            for row in rows]
+
+
+def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
+    """The reports of each suite of `rows` on the cases of one family, in
+    order: total degree, then key tail, then catalog row.  A prefix's
+    product and its share of T, K and the prefactor are made once per run,
+    the oracle at most once per case, and each literal formula once per
+    (k, s, T, K).  The sides of a case of total degree T are compared as
+    integers over 2^T, or over the oracle's denominator times 2^T when that
+    is not 2^T."""
     e: list = []
     stack, moments = [], {}  # the last product built and the moment rows, see _oracle
-    literal = lru_cache(maxsize=None)(lambda f, args: f(e, *args))  # args: k, s, T, K
+    literals: dict = {}  # (k, s, T, K) -> (lhs, rhs) of each row, _ORACLE or a value
+    keys: list = []  # the sort key of each case
+    columns = [[] for _ in rows]  # per row, the report of each case, or None
+    targets = [(column, row.sid, row.part, row.edition or CORRECTED)
+               for column, row in zip(columns, rows)]
+    factor = lru_cache(maxsize=None)(_factor)
 
-    for tail, params, k, factors in cases:
-        T = sum(n * m for _, n, m in factors)
-        K = sum(i * m for i, _, m in factors)
-        args = (k, len(factors), T, K)
-        if T >= len(e):  # no literal index exceeds T
-            e = cache.scaled(T)
-        key = (T,) + tail
-        den = 1 << T
-        oracle = None
-        for row in rows:
-            right = literal(row.rhs, args)
-            if right is None:  # the text does not apply to this case
-                continue
-            if row.lhs is not _ORACLE:
-                left, row_den = literal(row.lhs, args), den
-            else:
-                if oracle is None:
-                    num, oracle_den = _oracle(stack, moments, factors, cache)
-                    scale = math.prod(binom(n, i) ** m for i, n, m in factors)
-                    # num / oracle_den against right / 2^T: cross-multiply
-                    # unless oracle_den is 2^T
-                    oracle = ((num, scale, den) if oracle_den == den else
-                              (num << T, scale * oracle_den, oracle_den << T))
-                left, scale, row_den = oracle
-                right = scale * right
-            if left is not None:
-                row_params = params if row.part is None else {**params, "part": row.part}
-                out[row.sid].append((key, IdentityReport(row.sid, row_params, left, right,
-                                                         row_den, row.edition or CORRECTED)))
+    for k, prefix, cases in runs:
+        T0 = K0 = 0
+        c0 = 1
+        for f in prefix:
+            dT, dK, c = factor(*f)
+            T0, K0, c0 = T0 + dT, K0 + dK, c0 * c
+        s = len(prefix) + 1
+        q = None  # the product of the prefix, built for the first oracle row
+        for last, tail, params in cases:
+            dT, dK, c = factor(*last)
+            T, K = T0 + dT, K0 + dK
+            args = (k, s, T, K)
+            sides = literals.get(args)
+            if sides is None:
+                if T >= len(e):  # no literal index exceeds T
+                    e = cache.scaled(T)
+                sides = literals[args] = _sides(rows, e, args)
+            keys.append((T, tail))
+            den = 1 << T
+            oracle = None
+            for (column, sid, part, edition), (left, right) in zip(targets, sides):
+                if left is None or right is None:  # the text does not apply to this case
+                    column.append(None)
+                    continue
+                row_den = den
+                if left is _ORACLE:
+                    if oracle is None:
+                        if q is None:
+                            q = _build(stack, prefix)
+                        num, oracle_den = _oracle(q, last, moments, cache)
+                        # num / oracle_den against right / 2^T: cross-multiply
+                        # unless oracle_den is 2^T
+                        oracle = ((num, c0 * c, den) if oracle_den == den else
+                                  (num << T, c0 * c * oracle_den, oracle_den << T))
+                    left, scale, row_den = oracle
+                    right *= scale
+                column.append(IdentityReport(sid, params if part is None else
+                                             {**params, "part": part},
+                                             left, right, row_den, edition))
+
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    suites: dict[str, list] = {}
+    for row, column in zip(rows, columns):
+        suites.setdefault(row.sid, []).append(map(column.__getitem__, order))
+    return {sid: list(filter(None, itertools.chain.from_iterable(zip(*in_order))))
+            for sid, in_order in suites.items()}
 
 
 def run_suites(ids: Union[str, Sequence[str]], *,
@@ -546,10 +618,10 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     variant="corrected".
 
     Ordering: suites in catalog order, then one sort key per case: total
-    degree, then the remaining parameters lexicographically.  The sort is
-    stable, so the reports of one case keep catalog order (T14 part II,
-    then part I corrected, then as-printed).  The ordering, and the
-    report contents, are fully deterministic.
+    degree, then the remaining parameters lexicographically.  The reports
+    of one case keep catalog order (T14 part II, then part I corrected,
+    then as-printed).  The ordering, and the report contents, are fully
+    deterministic.
     """
     if isinstance(ids, str):
         ids = [ids]
@@ -559,29 +631,24 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     for sid in ids:
         if sid != "ALL" and sid not in SUITE_ORDER:
             raise ValueError(f"unknown suite id {sid!r}")
-    out: dict[str, list] = {sid: [] for sid in SUITE_ORDER
-                            if sid in ids or "ALL" in ids}
+    wanted = [sid for sid in SUITE_ORDER if sid in ids or "ALL" in ids]
     ranges = {name: value for name, value in zip(("n_max", "k_max", "s_max", "m_max"),
                                                  (n_max, k_max, s_max, m_max))
               if value is not None}
-    if "EULER" in out:
+    out: dict[str, list] = {}
+    if "EULER" in wanted:
         out["EULER"] = _euler_rows(cache, **ranges)
 
     families: dict[Callable, list] = {}
     for row in _CATALOG:
-        if row.sid in out and (row.edition is None or row.edition in variants):
+        if row.sid in wanted and (row.edition is None or row.edition in variants):
             families.setdefault(row.family, []).append(row)
     # make every family before sweeping any, so that a refused range
     # (PRODUCTS_MAX, FULL_PRODUCTS_MAX) costs nothing
     sweeps = [(family(**ranges), rows) for family, rows in families.items()]
-    for cases, rows in sweeps:
-        _sweep(cases, rows, cache, out)
-
-    reports: list[IdentityReport] = []
-    for rows in out.values():
-        rows.sort(key=lambda item: item[0])
-        reports.extend(r for _, r in rows)
-    return reports
+    for runs, rows in sweeps:
+        out.update(_sweep(runs, rows, cache))
+    return [report for sid in wanted for report in out[sid]]
 
 
 def find_counterexample(suite_id: str, variant: str = AS_PRINTED,

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import time
@@ -99,6 +100,27 @@ _runs_sharing_last_factors = st.lists(
     min_size=1, max_size=12)
 
 
+# a run of nonzero factors, and the lengths of the prefixes of it that one
+# memo sees in turn: the degree rises, falls, then rises past its first peak
+@st.composite
+def _degrees_up_down_up(draw):
+    factors = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5), st.integers(1, 2)).map(
+        lambda f: (min(f[:2]), f[1], f[2])), min_size=3, max_size=5))
+    first = draw(st.integers(0, len(factors) - 2))
+    peak = draw(st.integers(first + 1, len(factors) - 1))
+    low = draw(st.integers(0, peak - 1))
+    top = draw(st.integers(peak + 1, len(factors)))
+    last = draw(st.sampled_from([(0, 3, 1), (2, 4, 2), (1, 1, 1)]))
+    return factors, [first, peak, low, top], last
+
+
+def _oracle_value(stack, moments, factors):
+    """The oracle on one product as a sweep calls it: the prefix built on
+    `stack`, the last factor integrated through `moments`."""
+    *prefix, last = factors
+    return identities._oracle(identities._build(stack, prefix), last, moments, DEFAULT_CACHE)
+
+
 class TestOracle:
     def test_frozen(self):
         assert oracle_integral(ProductSpec(((1, 2, 1),))) == -1
@@ -121,7 +143,7 @@ class TestOracle:
         stack, moments = [], {}
         for factors in runs:
             want = bernstein_product_integral(factors, _SERIES_E)
-            num, den = identities._oracle(stack, moments, factors, DEFAULT_CACHE)
+            num, den = _oracle_value(stack, moments, factors)
             assert den > 0
             assert Fraction(num, den) == want
 
@@ -130,10 +152,30 @@ class TestOracle:
         for prefix in ([], [(0, 4, 2), (2, 5, 1)], [(1, 1, 1)], [(0, 6, 2)] * 3):
             factors = prefix + [last]
             want = bernstein_product_integral(factors, _SERIES_E)
-            num, den = identities._oracle(stack, moments, factors, DEFAULT_CACHE)
+            num, den = _oracle_value(stack, moments, factors)
             assert den > 0
             assert Fraction(num, den) == want
         assert len(moments[last][1]) == 6 * 2 * 3 + 1  # the longest prefix, degree 36
+
+    @settings(max_examples=60, deadline=None)
+    @given(_degrees_up_down_up())
+    def test_moment_rows_stay_over_one_power_of_two(self, walk):
+        # one memo through prefixes whose degree goes up, down and up past
+        # its first peak: each value is exact, and every stored entry is
+        # row[a] = I(x^a P) 2^(len(row) - 1 + deg P), that is r_a 2^(len(row) - 1 - a)
+        factors, lengths, last = walk
+        stack, moments, longest = [], {}, 0
+        for length in lengths:
+            prefix = factors[:length]
+            want = bernstein_product_integral(prefix + [last], _SERIES_E)
+            num, den = _oracle_value(stack, moments, prefix + [last])
+            assert Fraction(num, den) == want
+            longest = max(longest, sum(n * m for _, n, m in prefix))
+            power, row = moments[last]
+            assert len(row) == longest + 1
+            for a, entry in enumerate(row):
+                x_a = bernstein_product_integral([(a, a, 1), last], _SERIES_E)  # B_{a,a} = x^a
+                assert entry == x_a * 2 ** (len(row) - 1 + power.degree), a
 
     def test_factors_with_a_denominator(self, monkeypatch):
         # the oracle stays exact when the powers it is handed are not integer
@@ -618,11 +660,12 @@ class TestCatalogEngine:
 
     def test_products_grow_from_the_shared_prefix(self, monkeypatch):
         # with the powers B_{k,n}^m cached, every multiplication extends a
-        # product by one factor; rebuilding each T12 product from its first
-        # factor takes about 73,000 of them, growing it from the prefix it
-        # shares with the last product takes about 32,000, and expanding only
-        # the factors before the last one, which is integrated through its
-        # moment row, takes 3,860
+        # product by one factor; rebuilding each of the 17,036 nonzero T12
+        # products from its first factor takes 47,068 of them, growing it from
+        # the prefix it shares with the last product takes 20,836, and
+        # expanding only the factors before the last one, which is integrated
+        # through its moment row, once per run of cases that share them,
+        # takes 3,860
         run_suites(["T12"])
         calls = []
         mul = Poly.__mul__
@@ -636,13 +679,43 @@ class TestCatalogEngine:
         assert 0 < len(calls) <= 4_000
 
     def test_families_stream_their_cases(self):
-        # 126,500 runs of up to 250 factors, under PRODUCTS_MAX, take about
-        # 3 s to list on a 2-CPU box: the family must not list them first
+        # 126,500 products of up to 250 factors, under PRODUCTS_MAX, take
+        # seconds to list: the family must not list them first
         start = time.perf_counter()
-        tail, params, k, factors = next(identities._mult(n_max=1, s_max=250, m_max=1))
+        k, prefix, cases = next(identities._mult(n_max=1, s_max=250, m_max=1))
         assert time.perf_counter() - start < 1.0
-        assert (tail, params, k, factors) == (
-            (1, 0, (0,), (1,)), {"k": 0, "s": 1, "n": [0], "m": [1]}, 0, ((0, 0, 1),))
+        assert (k, prefix, cases[0]) == (
+            0, (), ((0, 0, 1), (1, 0, (), 0, (), 1), {"k": 0, "s": 1, "n": [0], "m": [1]}))
+
+    @pytest.mark.parametrize("family, ranges", [
+        ("_mult", dict(n_max=3, k_max=2, s_max=3, m_max=2)),
+        ("_sfold", dict(n_max=3, k_max=1, s_max=3)),
+        ("_full", dict(n_max=3, m_max=2))])
+    def test_runs_list_the_cases_in_combination_order(self, family, ranges):
+        # the runs, flattened, are the products combinations_with_replacement
+        # (or product, for T14/C15) lists, in its order, and their key tails
+        # sort them as the tuples (s, k, n_i..., m_i...) or (n, m_i...) would
+        cases = [(k, prefix + (last,), tail, params)
+                 for k, prefix, run in getattr(identities, family)(**ranges)
+                 for last, tail, params in run]
+        if family == "_full":
+            want = [tuple((i, n, m) for i, m in enumerate(ms))
+                    for n in range(ranges["n_max"] + 1)
+                    for ms in itertools.product(range(ranges["m_max"] + 1), repeat=n + 1)]
+            flat = [(f[0][1], tuple(m for _, _, m in f)) for _, f, _, _ in cases]
+        else:
+            m_max = ranges.get("m_max", 1)
+            want = [factors for k in range(ranges["k_max"] + 1)
+                    for s in range(1, ranges["s_max"] + 1)
+                    for factors in itertools.combinations_with_replacement(
+                        [(k, n, m) for n in range(ranges["n_max"] + 1)
+                         for m in range(1, m_max + 1)], s)]
+            flat = [(len(f), k, tuple(n for _, n, _ in f), tuple(m for _, _, m in f))
+                    for k, f, _, _ in cases]
+        assert [f for _, f, _, _ in cases] == want
+        by_tail = sorted(range(len(cases)), key=lambda i: cases[i][2])
+        assert by_tail == sorted(range(len(cases)), key=flat.__getitem__)
+        assert len({id(params) for _, _, _, params in cases}) == len(cases)
 
     @pytest.mark.parametrize("name, s", _T_FORMS)
     def test_t_form_applies_only_for_t_above_k(self, name, s):
@@ -748,6 +821,38 @@ def test_injected_oracle_fault_is_caught(sid, monkeypatch):
     bad = find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES)
     assert bad is not None
     assert bad.suite == sid and bad.variant == CORRECTED and not bad.equal
+
+
+@pytest.mark.parametrize("entry", [0, 1, 2], ids=["degree", "lower-sum", "prefactor"])
+def test_injected_factor_fault_is_caught(entry, monkeypatch):
+    # the sweep carries each factor's n m, k m and C(n,k)^m from a cache into
+    # T, K and the prefactor of every product it ends; one more on one entry
+    # of one factor must fail a row, and the first such row holds the factor
+    assert find_counterexample("T12", variant=CORRECTED, **FAULT_RANGES) is None
+    factor = identities._factor
+
+    def off_by_one(k, n, m):
+        info = list(factor(k, n, m))
+        info[entry] += (k, n, m) == (1, 3, 2)
+        return tuple(info)
+
+    monkeypatch.setattr(identities, "_factor", off_by_one)
+    bad = find_counterexample("T12", variant=CORRECTED, **FAULT_RANGES)
+    assert bad is not None and bad.suite == "T12" and not bad.equal
+    assert bad.params["k"] == 1 and (3, 2) in zip(bad.params["n"], bad.params["m"])
+
+
+def test_t14_oracle_sides_match_fraction_products():
+    # the prefix walk splits each T14 product into its first n factors and a
+    # last one; products with leading and trailing m_i = 0 (factors that are
+    # 1) must still integrate to the Fraction reference, in every row
+    reports = run_suites(["T14"], n_max=3, m_max=2, variant="both")
+    assert len(reports) > 100
+    ms = [r.params["m"] for r in reports]
+    assert any(m[0] == 0 < m[-1] for m in ms) and any(m[-1] == 0 < m[0] for m in ms)
+    for r in reports:
+        factors = [(i, r.params["n"], m) for i, m in enumerate(r.params["m"])]
+        assert r.lhs == bernstein_product_integral(factors, _SERIES_E), r
 
 
 @pytest.mark.parametrize("side", ["literal", "oracle"])
