@@ -12,8 +12,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 at least one identity comparison failed
 (as-printed failures are tolerated under --expect-typos), 2 bad usage,
-an unwritable --out path, a requested suite that swept no rows, or a
-number too long to print.
+a requested suite that swept no rows, a number too long to print, or a
+failed write to stdout or --out (a closed pipe, a full disk, a missing
+directory).
 Polynomials are entered as comma-separated rational coefficients, lowest
 degree first: "0, 1" is x, "1, -2, 1" is (1-x)^2.
 """
@@ -23,7 +24,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
@@ -48,24 +51,18 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _parse_poly(parser: argparse.ArgumentParser, text: str) -> Poly:
+def _parse_poly(text: str) -> Poly:
     try:
         return Poly.from_coeff_string(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        parser.error(f"bad polynomial {text!r}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"bad polynomial {text!r}: {exc}") from None
 
 
-def _emit(parser: argparse.ArgumentParser, render: Callable[[TextIO], None],
-          out_path: Optional[str]) -> None:
-    """Run `render` on stdout, or on `out_path` opened before it starts."""
-    if not out_path:
-        render(sys.stdout)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            render(fh)
-    except OSError as exc:
-        parser.error(f"cannot write {out_path!r}: {exc.strerror or exc}")
+def _writes(text: str) -> Callable[[TextIO], None]:
+    """The render of `text`, its last character written on its own: unbuffered
+    stdout (python -u) drops the rest of a write that a closed pipe cuts
+    short, but the next write fails."""
+    return lambda out: (out.write(text[:-1]), out.write(text[-1:]))
 
 
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
@@ -91,13 +88,8 @@ def _check_printable(reports: Sequence[IdentityReport]) -> None:
 
 
 def _params_text(params: dict) -> str:
-    parts = []
-    for key, value in params.items():
-        if isinstance(value, list):
-            parts.append(f"{key}={json.dumps(value, separators=(',', ':'))}")
-        else:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
+    return " ".join(f"{k}={json.dumps(v, separators=(',', ':')) if isinstance(v, list) else v}"
+                    for k, v in params.items())
 
 
 _TABLE_FAIL_CAP = 25
@@ -150,8 +142,9 @@ def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
         for r in verdict.failures:
             shown[r.suite] = shown.get(r.suite, 0) + 1
             if shown[r.suite] <= _TABLE_FAIL_CAP:
+                lhs, rhs = r.printed()
                 lines.append(f"  {r.suite} [{r.variant}] {_params_text(r.params)}: "
-                             f"lhs={r.lhs} rhs={r.rhs}")
+                             f"lhs={lhs} rhs={rhs}")
         for sid, count in shown.items():
             if count > _TABLE_FAIL_CAP:
                 lines.append(f"  ... and {count - _TABLE_FAIL_CAP} more failures "
@@ -184,54 +177,45 @@ def render_verify_csv(reports: Sequence[IdentityReport], out: TextIO) -> None:
         writer.writerow([r.suite, r.variant, params, *r.printed(), str(r.equal).lower()])
 
 
-def _cmd_euler(args, parser) -> int:
-    print(euler_number(args.n))
-    return 0
+def _cmd_euler(args):
+    return 0, _writes(f"{euler_number(args.n)}\n")
 
 
-def _cmd_epoly(args, parser) -> int:
-    print(euler_poly(args.n).to_coeff_string())
-    return 0
+def _cmd_epoly(args):
+    return 0, _writes(euler_poly(args.n).to_coeff_string() + "\n")
 
 
-def _cmd_bernstein(args, parser) -> int:
-    print(bernstein_poly(args.k, args.n).to_coeff_string())
-    return 0
+def _cmd_bernstein(args):
+    return 0, _writes(bernstein_poly(args.k, args.n).to_coeff_string() + "\n")
 
 
-def _cmd_integrate(args, parser) -> int:
-    print(integrate(_parse_poly(parser, args.poly)))
-    return 0
+def _cmd_integrate(args):
+    return 0, _writes(f"{integrate(_parse_poly(args.poly))}\n")
 
 
-def _cmd_padic_trace(args, parser) -> int:
-    trace = convergence_trace(_parse_poly(parser, args.poly), args.p, args.n_max)
+def _cmd_padic_trace(args):
+    trace = convergence_trace(_parse_poly(args.poly), args.p, args.n_max)
     if args.format == "csv":
-        text = trace.to_csv()
-    else:
-        lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
-        lines.extend(f"{n:>3}  {str(s_n):<24} {gap}" for n, s_n, gap in trace.rows)
-        text = "\n".join(lines) + "\n"
-    _emit(parser, lambda out: out.write(text), args.out)
-    return 0
+        return 0, _writes(trace.to_csv())
+    lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]
+    lines.extend(f"{n:>3}  {str(s_n):<24} {gap}" for n, s_n, gap in trace.rows)
+    return 0, _writes("\n".join(lines) + "\n")
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args):
     reports = run_suites(args.suites, n_max=args.n_max, k_max=args.k_max,
                          s_max=args.s_max, m_max=args.m_max, variant=args.variant)
     verdict = _verdict(reports, args.expect_typos)
+    code = 0 if verdict.ok else 1
     empty = [sid for sid in SUITE_ORDER if sid not in verdict.counts
              and (sid in args.suites or "ALL" in args.suites)]
     if empty:
-        parser.error(f"empty sweep, no rows for {', '.join(empty)}")
+        raise ValueError(f"empty sweep, no rows for {', '.join(empty)}")
     if args.format == "table":
-        text = render_verify_table(verdict, args.deterministic)
-        _emit(parser, lambda out: out.write(text), args.out)
-    else:  # streamed, so every value is checked before the first byte
-        _check_printable(reports)
-        render = render_verify_json if args.format == "json" else render_verify_csv
-        _emit(parser, lambda out: render(reports, out), args.out)
-    return 0 if verdict.ok else 1
+        return code, _writes(render_verify_table(verdict, args.deterministic))
+    _check_printable(reports)  # streamed, so every value is checked before the first byte
+    render = render_verify_json if args.format == "json" else render_verify_csv
+    return code, lambda out: render(reports, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,12 +282,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a bad p, a refused sweep range, or a number too long for int-to-str
-    # conversion is bad usage, in every subcommand
+    out_path = getattr(args, "out", None)
+    # each command does every step that can fail and returns its exit code
+    # and render; a bad p, a refused sweep range, a number too long for
+    # int-to-str conversion or a failed write is bad usage, in every subcommand
     try:
-        return args.func(args, parser)
+        code, render = args.func(args)
+        with (open(out_path, "w", encoding="utf-8") if out_path
+              else nullcontext(sys.stdout)) as out:
+            render(out)
+            out.flush()
+        return code
     except ValueError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        if not out_path:  # so that the interpreter's last flush writes nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = repr(out_path) if out_path else "stdout"
+        parser.error(f"cannot write {where}: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

@@ -89,7 +89,10 @@ class Poly:
         parts = [p.strip() for p in text.split(",")]
         if not parts or any(p == "" for p in parts):
             raise ValueError(f"malformed coefficient list: {text!r}")
-        return cls(Fr(p) for p in parts)
+        try:
+            return cls([Fr(p) for p in parts])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
 
     # -- basic queries --------------------------------------------------------
 

@@ -610,9 +610,10 @@ def run_suites(ids: Union[str, Sequence[str]], *,
                cache: EulerCache = DEFAULT_CACHE) -> list[IdentityReport]:
     """Run the requested suites and return canonically ordered reports.
 
-    ids is a suite id, a sequence of them, or "ALL".  Range overrides that
-    a suite has no use for are ignored by it.  `variant` selects which
-    edition of the typo-carrying entries (C13, T14 part I, C15) to
+    ids is a suite id, a sequence of them, or "ALL".  A range override
+    must be a nonnegative int (ValueError otherwise, before any sweep);
+    one that a suite has no use for is ignored by it.  `variant` selects
+    which edition of the typo-carrying entries (C13, T14 part I, C15) to
     evaluate: "corrected" (default), "as-printed", or "both"; entries
     whose circulating text is already correct always report
     variant="corrected".
@@ -635,6 +636,9 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     ranges = {name: value for name, value in zip(("n_max", "k_max", "s_max", "m_max"),
                                                  (n_max, k_max, s_max, m_max))
               if value is not None}
+    for name, value in ranges.items():
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
     out: dict[str, list] = {}
     if "EULER" in wanted:
         out["EULER"] = _euler_rows(cache, **ranges)
@@ -659,9 +663,10 @@ def find_counterexample(suite_id: str, variant: str = AS_PRINTED,
     the remaining parameters, i.e. the order run_suites emits.  With the
     default variant this locates the minimal counterexample to a
     typo-carrying catalog entry; with variant="corrected" a None return
-    is the exhaustive all-clear for the swept range.
+    is the exhaustive all-clear for the swept range.  A range that sweeps
+    no rows raises ValueError, since checking nothing clears nothing.
     """
-    for report in run_suites([suite_id], variant=variant, **ranges):
-        if not report.equal:
-            return report
-    return None
+    reports = run_suites([suite_id], variant=variant, **ranges)
+    if not reports:
+        raise ValueError(f"empty sweep, no rows for {suite_id}")
+    return next((report for report in reports if not report.equal), None)

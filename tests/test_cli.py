@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 import time
@@ -357,6 +358,60 @@ class TestPrintLimit:
         code, out = run_cli(capsys, "verify", "T1", "--n-max", "386", "--format", fmt)
         assert code == 0
         assert len(out.splitlines()) == 386 + (fmt == "csv")
+
+
+def _env(unbuffered):
+    """This environment, with stdout unbuffered (as under python -u) or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "python-u"])
+@pytest.mark.parametrize("argv", [
+    ["bernstein", "0", "3000"],
+    ["verify", "ALL", "--variant", "both", "--deterministic", "--expect-typos",
+     "--format", "json"],
+    ["verify", "ALL", "--variant", "both", "--deterministic", "--expect-typos",
+     "--format", "csv"],
+], ids=["bernstein", "verify-json", "verify-csv"])
+def test_closed_pipe_exits_two(argv, unbuffered):
+    # a reader that takes one byte and closes the pipe, like `| head -c1`:
+    # a write error, not a failed comparison and not a traceback
+    with subprocess.Popen([sys.executable, "-m", "fermibern", *argv], env=_env(unbuffered),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert "cannot write stdout" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "python-u"])
+def test_pipe_closed_before_the_first_byte_exits_two(unbuffered):
+    # the interpreter's last flush must not retry the write and report it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as pipe:
+        proc = subprocess.run([sys.executable, "-m", "fermibern", "euler", "5"],
+                              env=_env(unbuffered),
+                              stdout=pipe, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert "cannot write stdout" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_full_disk_exits_two(to_file):
+    argv = ["padic-trace", "0,1", "3", "2"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "fermibern", *argv]
+                              + (["--out", "/dev/full"] if to_file else []),
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert "No space left on device" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_module_entry_point():

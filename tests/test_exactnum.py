@@ -58,6 +58,10 @@ class TestPolyBasics:
             with pytest.raises((ValueError, ZeroDivisionError)):
                 Poly.from_coeff_string(bad)
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Poly.from_coeff_string("1, 1/0")
+
     def test_monomial(self):
         assert Poly.monomial(3) == Poly([0, 0, 0, 1])
         assert Poly.monomial(0, F(1, 2)) == Poly([F(1, 2)])

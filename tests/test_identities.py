@@ -380,6 +380,15 @@ class TestVariants:
         assert bad.lhs == Fraction(-1, 2)
         assert bad.rhs == 0
 
+    @pytest.mark.parametrize("suite, ranges", [
+        ("C13", dict(variant=AS_PRINTED, k_max=0)),
+        ("T1", dict(variant=CORRECTED, n_max=0)),
+    ])
+    def test_empty_sweep_is_no_all_clear(self, suite, ranges):
+        # a sweep that checks nothing must not pass as "no counterexample"
+        with pytest.raises(ValueError, match=f"empty sweep, no rows for {suite}"):
+            find_counterexample(suite, **ranges)
+
     def test_as_printed_c13_avoids_negative_indices(self):
         # rows where the misprinted index would go negative are skipped,
         # so every surviving row has T - K <= K
@@ -517,6 +526,19 @@ class TestRunSuites:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             run_suites(["T1"], variant="fixed")
+
+    @pytest.mark.parametrize("value", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("name", ["n_max", "k_max", "s_max", "m_max"])
+    def test_range_must_be_a_nonnegative_int(self, name, value, monkeypatch):
+        # refused with one message that names the range, before any row or
+        # family is made
+        def no_family(**ranges):
+            raise AssertionError("a family was made before the refusal")
+        monkeypatch.setattr(identities, "_CATALOG", tuple(
+            row._replace(family=no_family) for row in identities._CATALOG))
+        monkeypatch.setattr(identities, "_euler_rows", no_family)
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative int, got "):
+            run_suites("ALL", **{name: value})
 
     def test_euler_suite(self):
         reports = run_suites(["EULER"], n_max=30)
