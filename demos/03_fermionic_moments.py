@@ -41,9 +41,9 @@ print("\nI((1-x)^n) == 2 + E_n:")
 for n in (1, 2, 5):
     print(f"  n = {n}: {integrate_reflected(n)} == {2 + euler_number(n)}")
 
-# products of Bernstein basis polynomials are just polynomials, so the
-# same machinery integrates them; this is the oracle every catalog
-# identity is judged against
+# the oracle every catalog identity is judged against integrates a product
+# of Bernstein basis polynomials from its values at 0..T: by the shift
+# equation I(f(x+1)) + I(f) = 2 f(0) it needs no Euler number
 spec = ProductSpec(((1, 2, 2),))
 print("\noracle on B_{1,2}^2:", oracle_integral(spec))
 spec = ProductSpec(((1, 2, 1), (1, 3, 1)))

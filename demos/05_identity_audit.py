@@ -4,7 +4,7 @@ Auditing the closed-form catalog, typos included
 
 Every entry in the catalog claims a closed form for the alternating
 integral of a product of Bernstein basis polynomials.  The audit
-evaluates each claim against the expansion oracle over a sweep of
+evaluates each claim against the difference oracle over a sweep of
 parameters.  Two of the catalog entries circulate with a wrong index in
 one edition; the "as-printed" variants reproduce that text literally,
 and the sweep finds the smallest parameters that refute it.

@@ -3,9 +3,9 @@
 Every entry in the catalog evaluates the alternating p-adic integral I()
 of a product of Bernstein basis polynomials in terms of Euler numbers.
 Each suite sweeps a parameter range, evaluates the catalog closed form
-with literal index and sign expressions, compares against the brute-force
-route (expand all factors but the last, integrate the last termwise
-through its Euler moment row), and emits one `IdentityReport` per comparison.
+with literal index and sign expressions, compares against the oracle (the
+product integrated from its values at 0..T by forward differences, with no
+Euler number), and emits one `IdentityReport` per comparison.
 
 Catalog ids.  C(a,b) is the binomial coefficient, E_r the r-th Euler
 number, B_{k,n} the Bernstein basis polynomial.  For the product entries
@@ -64,7 +64,9 @@ two sides, each the oracle or a literal formula written once in `_F`, which
 is None where its text does not apply (no report); run_suites loops over
 the rows.  The sides of a case of total degree T are compared as integers
 over 2^T: each formula sums the integers e_j = 2^j E_j, shifted up to 2^T,
-and the oracle's product of Bernstein polynomials has integer coefficients.
+and the oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over integer weights
+from the functional equation I(f(x+1)) + I(f) = 2 f(0) alone, so a wrong
+Euler table cannot shift both sides alike.
 """
 
 from __future__ import annotations
@@ -149,12 +151,8 @@ class ProductSpec:
         return sum(n * m for _, n, m in self.factors)
 
     def poly(self) -> Poly:
-        return _build([], self.factors)
-
-
-@lru_cache(maxsize=None)
-def _bern_power(k: int, n: int, m: int) -> Poly:
-    return bernstein_poly(k, n) ** m
+        return math.prod((bernstein_poly(k, n) ** m for k, n, m in self.factors),
+                         start=Poly.one())
 
 
 def _factor(k: int, n: int, m: int) -> tuple[int, int, int]:
@@ -164,69 +162,64 @@ def _factor(k: int, n: int, m: int) -> tuple[int, int, int]:
     return n * m, k * m, binom(n, k) ** m
 
 
-def _build(stack: list, factors: Sequence[tuple[int, int, int]]) -> Poly:
-    """prod_i B_{k_i,n_i}^{m_i}, grown from the longest prefix it shares with
-    the last product built on `stack`, a list of (factor, product up to that
-    factor) that is left holding this product.  Factors with m_i = 0 are 1.
-    A factor B_{k,n} with k > n is 0, and so is its product, which builds
-    nothing."""
-    factors = [f for f in factors if f[2]]
-    if any(k > n for k, n, _ in factors):
-        return Poly.zero()
-    shared, most = 0, min(len(stack), len(factors))
-    while shared < most and stack[shared][0] == factors[shared]:
-        shared += 1
-    del stack[shared:]
-    for f in factors[shared:]:
-        power = _bern_power(*f)
-        stack.append((f, stack[-1][1] * power if stack else power))
-    return stack[-1][1] if stack else Poly.one()
+# -- the oracle ----------------------------------------------------------------
+# I(f(x+1)) + I(f) = 2 f(0) makes I(f) = sum_j (-Delta/2)^j f(0), so for f of
+# degree at most T, 2^T I(f) = sum_{i<=T} f(i) W_{T,i} with the integers
+# W_{T,i} = (-1)^i sum_{j=i}^{T} C(j,i) 2^(T-j): no Euler number is read.
+
+def _weights(memo: list, T: int) -> list:
+    """W_{T,0..T}, from `memo` = [W_0, W_1, ...], which grows through W_T by
+    W_{t,i} = 2 W_{t-1,i} + (-1)^i C(t,i), W_{t-1,t} = 0; memo starts [[1]]."""
+    while len(memo) <= T:
+        t = len(memo)
+        memo.append([(w << 1) + (-binom(t, i) if i & 1 else binom(t, i))
+                     for i, w in enumerate(memo[-1] + [0])])
+    return memo[T]
 
 
-def _oracle(q: Poly, last: tuple[int, int, int], moments: dict,
-            cache: EulerCache) -> tuple[int, int]:
-    """I(Q P) as (numerator, positive denominator), for Q = q, the expanded
-    product of all factors but the last, and P = B_{k,n}^m, last = (k, n, m),
-    integrated termwise through its moment row.
-
-    `moments` maps `last` to (P, row), row[a] = r_a 2^(len(row) - 1 - a) with
-    r_a = sum_b p_b e_{a+b} 2^(deg P - b) over e_j = 2^j E_j, so that
-    I(x^a P) = r_a / (den P 2^(a + deg P)).  All of a row is over one power
-    of two, so the numerator over (den Q den P) 2^(deg Q + deg P) is one dot
-    product and an exact shift.  The row grows, and shifts up, when deg Q
-    passes its end.  The denominator is 2^T, T the total degree, unless a
-    factor has one of its own.  A zero product is (0, 1) and builds nothing.
-    """
-    k, n, m = last
-    if not q or (m and k > n):
-        return 0, 1
-    memo = moments.get(last)
-    if memo is None:
-        memo = moments[last] = (_bern_power(k, n, m), [])
-    power, row = memo
-    dq, dp = q.degree, power.degree
-    if len(row) <= dq:  # a longer prefix than any before: extend the row
-        e, up = cache.scaled(dq + dp), dq + 1 - len(row)
-        p = [pb << (dp - b) for b, pb in enumerate(power.numerators)]
-        row[:] = [r << up for r in row]
-        row.extend(sum(map(mul, p, e[a:a + dp + 1])) << (dq - a)
-                   for a in range(len(row), dq + 1))
-    return (sum(map(mul, q.numerators, row)) >> (len(row) - 1 - dq),
-            (q.denominator * power.denominator) << (dq + dp))
+def _values(memo: dict, f: tuple[int, int, int], L: int) -> list:
+    """B_{k,n}^m, f = (k, n, m), at x = 0..L or further, from `memo`, which
+    keeps the longest row made for f: (C(n,k) x^k (1-x)^(n-k))^m, 1 for m = 0
+    (even when k > n), 0 for k > n."""
+    row = memo.setdefault(f, [])
+    if len(row) <= L:
+        k, n, m = f
+        if not m or k > n:
+            row.extend([int(not m)] * (L + 1 - len(row)))
+        else:
+            c = binom(n, k)
+            row.extend((c * x ** k * (1 - x) ** (n - k)) ** m
+                       for x in range(len(row), L + 1))
+    return row
 
 
-def oracle_integral(spec: ProductSpec, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
-    """Brute-force reference value: the product integrated term by term.
+def _folded(weights: list, values: dict, prefix: Sequence, L: int) -> list:
+    """W_{L,x} times the prefix's product at x, for x = 0..L."""
+    q = _weights(weights, L)
+    for f in prefix:
+        if f[2]:  # B^0 = 1
+            q = list(map(mul, q, _values(values, f, L)))
+    return q
+
+
+def _oracle(q: list, p: list, shift: int) -> int:
+    """2^T I(Q P), T = L - shift the total degree, for q = `_folded` over the
+    prefix Q and L >= T, and p the values of the last factor P through L."""
+    return sum(map(mul, q, p)) >> shift
+
+
+def oracle_integral(spec: ProductSpec) -> Fraction:
+    """Brute-force reference value: the product integrated from its values.
 
     This is the route every closed form is judged against.  It never
-    consults any catalog formula: the factors before the last are
-    expanded, and the last is integrated termwise through its Euler moment
-    row (`_oracle`).
+    consults any catalog formula or Euler number: 2^T I(f) is the values of
+    the product at 0..T dotted with the weights W_T.  A product with a zero
+    prefactor is 0 and evaluates nothing.
     """
-    *prefix, last = (0, 0, 0), *spec.factors  # B_{0,0}^0 = 1 heads every product
-    k, n, m = last
-    q = Poly.zero() if m and k > n else _build([], prefix)  # a zero product builds nothing
-    return Fraction(*_oracle(q, last, {}, cache))
+    if not math.prod(_factor(*f)[2] for f in spec.factors):
+        return Fraction(0)
+    T = spec.degree
+    return Fraction(sum(_folded([[1]], {}, spec.factors, T)), 1 << T)
 
 
 def _text(num: int, den: int) -> str:
@@ -379,7 +372,7 @@ _F = {
 # are the products prefix + (last,), each given as (last, key tail, params),
 # where a factor (k_i, n_i, m_i) stands for B_{k_i,n_i}^{m_i}; the cases come
 # in the order of `combinations_with_replacement` or `product` over all the
-# factors, so `_sweep` handles a prefix once per run, and builds its product
+# factors, so `_sweep` handles a prefix once per run, and evaluates its product
 # only for a run that reaches an oracle row.  Sorted, the key tails order the
 # cases of one total degree.  A family ignores ranges it has no use for, and
 # counts its cases when it is made, without listing them: a range over
@@ -538,14 +531,14 @@ def _sides(rows: list, e: Sequence[int], args: tuple) -> list:
 
 def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
     """The reports of each suite of `rows` on the cases of one family, in
-    order: total degree, then key tail, then catalog row.  A prefix's
-    product and its share of T, K and the prefactor are made once per run,
-    the oracle at most once per case, and each literal formula once per
-    (k, s, T, K).  The sides of a case of total degree T are compared as
-    integers over 2^T, or over the oracle's denominator times 2^T when that
-    is not 2^T."""
+    order: total degree, then key tail, then catalog row.  A prefix's share
+    of T, K and the prefactor is made once per run, and so is its value row
+    folded into W_L, L the run's largest T, the first time a case of the run
+    reaches the oracle; the oracle runs at most once per case, none for a
+    zero product, and each literal formula once per (k, s, T, K).  The sides
+    of a case of total degree T are compared as integers over 2^T."""
     e: list = []
-    stack, moments = [], {}  # the last product built and the moment rows, see _oracle
+    weights, values = [[1]], {}  # W_0, W_1, ... and each factor's values, see _folded
     literals: dict = {}  # (k, s, T, K) -> (lhs, rhs) of each row, _ORACLE or a value
     keys: list = []  # the sort key of each case
     columns = [[] for _ in rows]  # per row, the report of each case, or None
@@ -560,7 +553,7 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
             dT, dK, c = factor(*f)
             T0, K0, c0 = T0 + dT, K0 + dK, c0 * c
         s = len(prefix) + 1
-        q = None  # the product of the prefix, built for the first oracle row
+        q, L = None, 0  # the prefix folded into W_L, made for the first oracle row
         for last, tail, params in cases:
             dT, dK, c = factor(*last)
             T, K = T0 + dT, K0 + dK
@@ -571,27 +564,24 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
                     e = cache.scaled(T)
                 sides = literals[args] = _sides(rows, e, args)
             keys.append((T, tail))
-            den = 1 << T
+            den, scale = 1 << T, c0 * c
             oracle = None
             for (column, sid, part, edition), (left, right) in zip(targets, sides):
                 if left is None or right is None:  # the text does not apply to this case
                     column.append(None)
                     continue
-                row_den = den
                 if left is _ORACLE:
                     if oracle is None:
-                        if q is None:
-                            q = _build(stack, prefix)
-                        num, oracle_den = _oracle(q, last, moments, cache)
-                        # num / oracle_den against right / 2^T: cross-multiply
-                        # unless oracle_den is 2^T
-                        oracle = ((num, c0 * c, den) if oracle_den == den else
-                                  (num << T, c0 * c * oracle_den, oracle_den << T))
-                    left, scale, row_den = oracle
-                    right *= scale
+                        oracle = 0  # the value of a zero product, which needs no work
+                        if scale:
+                            if q is None:
+                                L = T0 + max(factor(*f)[0] for f, _, _ in cases)
+                                q = _folded(weights, values, prefix, L)
+                            oracle = _oracle(q, _values(values, last, L), L - T)
+                    left, right = oracle, right * scale
                 column.append(IdentityReport(sid, params if part is None else
                                              {**params, "part": part},
-                                             left, right, row_den, edition))
+                                             left, right, den, edition))
 
     order = sorted(range(len(keys)), key=keys.__getitem__)
     suites: dict[str, list] = {}

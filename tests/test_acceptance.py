@@ -88,7 +88,7 @@ def test_criterion_3_single_factor_catalog():
     if not any(r.suite == "P2" and r.params["k"] == r.params["n"]
                for r in reports):
         problems.append("P2 sweep is missing the k = n diagonal")
-    _finish(3, "single-factor closed forms match the expansion oracle for "
+    _finish(3, "single-factor closed forms match the difference oracle for "
                "k <= n <= 30 (strict k < n where required)", problems)
 
 

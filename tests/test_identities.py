@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermibern import identities
-from fermibern.euler import DEFAULT_CACHE
+from fermibern.euler import DEFAULT_CACHE, EulerCache
 from fermibern.cli import (_verdict, render_verify_csv, render_verify_json,
                            render_verify_table)
 from fermibern.cli import main as cli_main
@@ -89,36 +89,15 @@ _wide_specs = st.lists(
     lambda fs: ProductSpec(tuple(fs)))
 _SERIES_E = euler_numbers_by_series(90)
 
-# sequences of factor runs in which some factors vanish (k > n), some are 1
-# (m = 0), and a few last factors recur after prefixes both shorter and
-# longer than before, so that their moment rows have to grow
+# sequences of runs, each a prefix and the last factors that end it, as a
+# sweep hands them to the oracle: some factors vanish (k > n), some are 1
+# (m = 0), and the largest degree of a run rises and falls from run to run,
+# so that the value rows the runs share have to grow
 _small_factors = st.tuples(st.integers(0, 7), st.integers(0, 6), st.integers(0, 2))
-_runs_sharing_last_factors = st.lists(
+_sweep_like_runs = st.lists(
     st.tuples(st.lists(_small_factors, max_size=4),
-              st.sampled_from([(0, 3, 1), (2, 4, 2), (1, 1, 1), (6, 5, 1)])).map(
-        lambda run: run[0] + [run[1]]),
-    min_size=1, max_size=12)
-
-
-# a run of nonzero factors, and the lengths of the prefixes of it that one
-# memo sees in turn: the degree rises, falls, then rises past its first peak
-@st.composite
-def _degrees_up_down_up(draw):
-    factors = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5), st.integers(1, 2)).map(
-        lambda f: (min(f[:2]), f[1], f[2])), min_size=3, max_size=5))
-    first = draw(st.integers(0, len(factors) - 2))
-    peak = draw(st.integers(first + 1, len(factors) - 1))
-    low = draw(st.integers(0, peak - 1))
-    top = draw(st.integers(peak + 1, len(factors)))
-    last = draw(st.sampled_from([(0, 3, 1), (2, 4, 2), (1, 1, 1)]))
-    return factors, [first, peak, low, top], last
-
-
-def _oracle_value(stack, moments, factors):
-    """The oracle on one product as a sweep calls it: the prefix built on
-    `stack`, the last factor integrated through `moments`."""
-    *prefix, last = factors
-    return identities._oracle(identities._build(stack, prefix), last, moments, DEFAULT_CACHE)
+              st.lists(_small_factors, min_size=1, max_size=4)),
+    min_size=1, max_size=10)
 
 
 class TestOracle:
@@ -137,68 +116,50 @@ class TestOracle:
         assert oracle_integral(spec) == want
 
     @settings(max_examples=60, deadline=None)
-    @given(_runs_sharing_last_factors)
-    def test_shared_stack_and_moment_rows_match_fraction_products(self, runs):
-        # one stack and one moment memo for the whole sequence, as in a sweep
-        stack, moments = [], {}
-        for factors in runs:
-            want = bernstein_product_integral(factors, _SERIES_E)
-            num, den = _oracle_value(stack, moments, factors)
-            assert den > 0
-            assert Fraction(num, den) == want
+    @given(_sweep_like_runs)
+    def test_sweep_like_runs_match_fraction_products(self, runs):
+        # one weight memo and one value memo for the whole sequence, as in a
+        # sweep: each run folds its prefix into W_L once, L its largest total
+        # degree, and each case is one dot product and a shift by L - T
+        weights, values = [[1]], {}
+        for prefix, lasts in runs:
+            T0 = sum(n * m for _, n, m in prefix)
+            L = T0 + max(n * m for _, n, m in lasts)
+            q = identities._folded(weights, values, prefix, L)
+            for last in lasts:
+                T = T0 + last[1] * last[2]
+                value = identities._oracle(q, identities._values(values, last, L), L - T)
+                assert Fraction(value, 1 << T) == bernstein_product_integral(
+                    prefix + [last], _SERIES_E)
 
-    def test_moment_row_grows_with_the_prefix(self):
-        stack, moments, last = [], {}, (1, 3, 2)
-        for prefix in ([], [(0, 4, 2), (2, 5, 1)], [(1, 1, 1)], [(0, 6, 2)] * 3):
-            factors = prefix + [last]
-            want = bernstein_product_integral(factors, _SERIES_E)
-            num, den = _oracle_value(stack, moments, factors)
-            assert den > 0
-            assert Fraction(num, den) == want
-        assert len(moments[last][1]) == 6 * 2 * 3 + 1  # the longest prefix, degree 36
+    def test_weights_give_the_series_euler_numbers(self):
+        # sum_i i^n W_{T,i} = 2^T I(x^n) = 2^T E_n for every n <= T <= 90, with
+        # E_n from the exponential series, not from the production table
+        memo = [[1]]
+        for T in range(91):
+            w = identities._weights(memo, T)
+            assert len(w) == T + 1
+            for n in range(T + 1):
+                assert sum(i ** n * wi for i, wi in enumerate(w)) == _SERIES_E[n] * 2 ** T, (T, n)
 
-    @settings(max_examples=60, deadline=None)
-    @given(_degrees_up_down_up())
-    def test_moment_rows_stay_over_one_power_of_two(self, walk):
-        # one memo through prefixes whose degree goes up, down and up past
-        # its first peak: each value is exact, and every stored entry is
-        # row[a] = I(x^a P) 2^(len(row) - 1 + deg P), that is r_a 2^(len(row) - 1 - a)
-        factors, lengths, last = walk
-        stack, moments, longest = [], {}, 0
-        for length in lengths:
-            prefix = factors[:length]
-            want = bernstein_product_integral(prefix + [last], _SERIES_E)
-            num, den = _oracle_value(stack, moments, prefix + [last])
-            assert Fraction(num, den) == want
-            longest = max(longest, sum(n * m for _, n, m in prefix))
-            power, row = moments[last]
-            assert len(row) == longest + 1
-            for a, entry in enumerate(row):
-                x_a = bernstein_product_integral([(a, a, 1), last], _SERIES_E)  # B_{a,a} = x^a
-                assert entry == x_a * 2 ** (len(row) - 1 + power.degree), a
-
-    def test_factors_with_a_denominator(self, monkeypatch):
-        # the oracle stays exact when the powers it is handed are not integer
-        clean = run_suites(["T12"], n_max=3, s_max=2, m_max=2, k_max=1)
-        power = identities._bern_power
-        monkeypatch.setattr(identities, "_bern_power",
-                            lambda k, n, m: Fraction(1, 3) * power(k, n, m))
-        factors = ((2, 5, 1), (1, 3, 2), (0, 4, 2))  # the last one is (1-x)^8 / 3
-        want = bernstein_product_integral(factors, _SERIES_E)
-        assert oracle_integral(ProductSpec(factors)) == want / 27
-        # the sweep then gets an oracle side over 3^s 2^T, not 2^T, and
-        # cross-multiplies
-        thirds = run_suites(["T12"], n_max=3, s_max=2, m_max=2, k_max=1)
-        assert len(thirds) == len(clean)
-        for r, c in zip(thirds, clean):
-            assert r.params == c.params
-            assert r.lhs * 3 ** r.params["s"] == c.lhs and r.rhs == c.rhs
-        assert any(r.lhs != 0 for r in thirds)
+    def test_weight_recurrence_matches_the_closed_sum(self):
+        # the memo, grown by W_{T,i} = 2 W_{T-1,i} + (-1)^i C(T,i) in one call,
+        # holds W_{T,i} = (-1)^i sum_{j=i}^{T} C(j,i) 2^(T-j) for every T it
+        # passed, and a smaller T later is read from it
+        memo = [[1]]
+        assert identities._weights(memo, 90) is memo[90] and len(memo) == 91
+        for T, w in enumerate(memo):
+            assert w == [(-1) ** i * sum(math.comb(j, i) << (T - j) for j in range(i, T + 1))
+                         for i in range(T + 1)], T
+            if T:
+                assert w == [2 * a + (-1) ** i * math.comb(T, i)
+                             for i, a in enumerate(memo[T - 1] + [0])], T
+        assert identities._weights(memo, 40) is memo[40] and len(memo) == 91
 
     def test_zero_product_builds_nothing(self, monkeypatch):
-        def no_products(*args):
-            raise AssertionError("a factor of a zero product was built")
-        monkeypatch.setattr(identities, "_bern_power", no_products)
+        def no_values(*args):
+            raise AssertionError("a factor of a zero product was evaluated")
+        monkeypatch.setattr(identities, "_values", no_values)
         for factors in (((5, 3, 1), (0, 2, 1)), ((0, 2, 1), (1, 4, 0), (3, 2, 2))):
             assert oracle_integral(ProductSpec(factors)) == 0
 
@@ -553,9 +514,9 @@ def _sha256(text):
 
 class TestCostGuard:
     def test_oversized_full_sweep_is_refused_up_front(self, monkeypatch):
-        def no_products(*args):
-            raise AssertionError("a product was built before the refusal")
-        monkeypatch.setattr(identities, "_bern_power", no_products)
+        def no_values(*args):
+            raise AssertionError("a product was evaluated before the refusal")
+        monkeypatch.setattr(identities, "_values", no_values)
         for ids in (["T14"], ["C15"], ["T12", "T14"], "ALL"):
             with pytest.raises(ValueError, match=r"at least \d+ products"):
                 run_suites(ids, n_max=12)
@@ -563,9 +524,9 @@ class TestCostGuard:
             run_suites(["C15"], n_max=10**9, m_max=0)
 
     def test_oversized_product_sweep_is_refused_up_front(self, monkeypatch):
-        def no_products(*args):
-            raise AssertionError("a product was built before the refusal")
-        monkeypatch.setattr(identities, "_bern_power", no_products)
+        def no_values(*args):
+            raise AssertionError("a product was evaluated before the refusal")
+        monkeypatch.setattr(identities, "_values", no_values)
         for ids in (["T10"], ["C11"], ["T12"], ["C13"], ["T1", "T12"], "ALL"):
             with pytest.raises(ValueError, match=r"at least \d+ products"):
                 run_suites(ids, s_max=30)
@@ -680,26 +641,6 @@ class TestCatalogEngine:
         assert sink.largest <= 64 * 1024
         assert _sha256("".join(sink.parts)) == digest
 
-    def test_products_grow_from_the_shared_prefix(self, monkeypatch):
-        # with the powers B_{k,n}^m cached, every multiplication extends a
-        # product by one factor; rebuilding each of the 17,036 nonzero T12
-        # products from its first factor takes 47,068 of them, growing it from
-        # the prefix it shares with the last product takes 20,836, and
-        # expanding only the factors before the last one, which is integrated
-        # through its moment row, once per run of cases that share them,
-        # takes 3,860
-        run_suites(["T12"])
-        calls = []
-        mul = Poly.__mul__
-
-        def counted(self, other):
-            calls.append(None)
-            return mul(self, other)
-
-        monkeypatch.setattr(Poly, "__mul__", counted)
-        assert all(r.equal for r in run_suites(["T12"]))
-        assert 0 < len(calls) <= 4_000
-
     def test_families_stream_their_cases(self):
         # 126,500 products of up to 250 factors, under PRODUCTS_MAX, take
         # seconds to list: the family must not list them first
@@ -778,15 +719,26 @@ class TestCatalogEngine:
         assert len(reports) == 76_897 and all(r.equal for r in reports)
         assert 0 < len(built) < 1_000
 
-    def test_c13_alone_never_multiplies_polynomials(self, monkeypatch):
-        def refuse(self, other):
-            raise AssertionError("C13 compares two closed forms; no product needed")
+    @pytest.mark.parametrize("ids", [["C13"], "ALL"], ids=["C13", "ALL"])
+    def test_c13_alone_never_multiplies_polynomials(self, ids, monkeypatch):
+        # the oracle evaluates products at integers, and C13 compares two
+        # closed forms; of all suites only EULER, through E_n(x), multiplies
+        # polynomials
+        calls = []
+        mul = Poly.__mul__
 
-        monkeypatch.setattr(Poly, "__mul__", refuse)
-        monkeypatch.setattr(Poly, "__rmul__", refuse)
-        reports = run_suites(["C13"])
+        def counted(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(Poly, "__rmul__", counted)
+        run_suites(["EULER"])
+        euler = len(calls)
+        reports = run_suites(ids, variant="both")
         assert reports
-        assert all(r.equal for r in reports)
+        assert all(r.equal for r in reports if r.variant == CORRECTED)
+        assert len(calls) - euler == (euler if ids == "ALL" else 0)
 
 
 class _ShiftedTable:
@@ -837,9 +789,10 @@ def test_injected_index_fault_is_caught(row, side, monkeypatch):
 
 @pytest.mark.parametrize("sid", ["T1", "P2", "T3", "T5", "P6", "T8", "T10", "T12", "T14"])
 def test_injected_oracle_fault_is_caught(sid, monkeypatch):
-    # every power B_{k,n}^m the oracle builds comes out doubled
-    power = identities._bern_power
-    monkeypatch.setattr(identities, "_bern_power", lambda k, n, m: 2 * power(k, n, m))
+    # every factor B_{k,n}^m the oracle evaluates comes out doubled
+    values = identities._values
+    monkeypatch.setattr(identities, "_values",
+                        lambda memo, f, L: [2 * v for v in values(memo, f, L)])
     bad = find_counterexample(sid, variant=CORRECTED, **FAULT_RANGES)
     assert bad is not None
     assert bad.suite == sid and bad.variant == CORRECTED and not bad.equal
@@ -877,6 +830,23 @@ def test_t14_oracle_sides_match_fraction_products():
         assert r.lhs == bernstein_product_integral(factors, _SERIES_E), r
 
 
+@pytest.mark.parametrize("index, ids, ranges", [
+    *(pytest.param(i, ["T12"], {}, id=f"e{i}") for i in (64, 63, 3)),
+    *(pytest.param(i, ["T14"], {"n_max": 8}, id=f"e{i}-n_max8") for i in (144, 143, 136))])
+def test_table_fault_is_caught(index, ids, ranges):
+    # one more on one entry e_j = 2^j E_j of the table must fail a row: at the
+    # top index the sweep reads (64 by default, 144 for T14 at n_max=8), at
+    # the one below it, and at a low odd one; the oracle reads no table, so a
+    # fault cannot shift both sides of a row alike
+    top = 144 if ranges else 64
+    cache = EulerCache()
+    cache.ensure(top)
+    cache._scaled[index] += 1
+    reports = run_suites(ids, cache=cache, **ranges)
+    assert len(cache._scaled) == top + 1  # the sweep read no further
+    assert not all(r.equal for r in reports)
+
+
 @pytest.mark.parametrize("side", ["literal", "oracle"])
 def test_one_unit_in_the_last_place_is_caught(side, monkeypatch):
     # one more in a numerator over 2^T is an error of 2^-T, down to 2^-64 in
@@ -894,15 +864,14 @@ def test_one_unit_in_the_last_place_is_caught(side, monkeypatch):
         oracle = identities._oracle
 
         def off_by_one(*args):
-            num, den = oracle(*args)
-            return num + 1, den
+            return oracle(*args) + 1
 
         monkeypatch.setattr(identities, "_oracle", off_by_one)
     reports = run_suites(["T12"])
     for r in reports:
-        # a zero product (k > n_i) has prefactor 0, which hides the literal's error
-        hidden = side == "literal" and r.params["k"] > min(r.params["n"])
-        assert r.equal == hidden, r
+        # a zero product (k > n_i) has prefactor 0, which hides the literal's
+        # error, and an oracle side of 0 that no oracle step computes
+        assert r.equal == (r.params["k"] > min(r.params["n"])), r
     assert max(sum(n * m for n, m in zip(r.params["n"], r.params["m"]))
                for r in reports if not r.equal) == 64
     assert cli_main(["verify", "T12", "--n-max", "4", "--s-max", "2", "--deterministic"]) == 1
