@@ -4,8 +4,10 @@ Watching the alternating sums converge p-adically
 
 S_N = sum_{x < p^N} (-1)^x f(x) approaches I(f) in the p-adic metric:
 the valuation of the error grows at least linearly in N.  Each S_N is
-an exact rational, (I(f) + I(f(x+p^N)))/2 by the shift equation, so the
-reported valuations are exact too.
+an exact rational, (I(f) + I(f(x+p^N)))/2 by the shift equation, with
+both integrals read off values of f rather than the Euler table, so the
+reported valuations are exact too.  The limit I(f) does read the table,
+so each gap compares two independent routes.
 """
 
 from fractions import Fraction

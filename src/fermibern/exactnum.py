@@ -24,15 +24,8 @@ Fr = Fraction  # local binding, constructed a lot
 Coeff = Union[int, Fraction, str]
 
 
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), 0 when k > n.
-
-    Both arguments must be nonnegative integers; math.comb enforces that.
-    The k > n case returning 0 is load bearing for the identity sweeps,
-    where out-of-range basis polynomials degenerate to the zero polynomial
-    with a matching zero prefactor.
-    """
-    return comb(n, k)
+# C(n, k); 0 for k > n, so an out-of-range B_{k,n} in a sweep has prefactor 0
+binom = comb
 
 
 class Poly:

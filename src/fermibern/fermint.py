@@ -13,9 +13,9 @@ everything in this module:
     symbolic route.
   * convergence:  the finite alternating sum S_N(f) agrees with I(f)
     modulo p^N, so vp(S_N - I(f), p) >= N.  For odd n = p^N the n-step
-    equation below gives S_N(f) = (I(f) + I(f(x+p^N))) / 2, so
-    `partial_sum` and `convergence_trace` get each S_N exactly from two
-    integrals, without visiting every x and without floats.
+    equation below gives S_N(f) = (I(f) + I(f(x+p^N))) / 2, and `partial_sum`
+    reads both integrals off d + 1 values of f each (`_integral_at`): each
+    S_N is exact, needs no loop over every x and reads no Euler number.
 
 A one-parameter deformation replaces the weight (-1)^x by (-q)^x and
 normalizes by (1+q)/(1+q^{p^N}); at q = 1 the normalizer collapses to 1
@@ -68,17 +68,42 @@ def integrate(f: Poly, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
                     f.denominator << d)
 
 
+def _weights(T: int) -> list[int]:
+    """W_{T,0..T}: 2^T I(f) = sum_{i<=T} f(i) W_{T,i} for f of degree <= T.
+
+    I(f(x+1)) + I(f) = 2 f(0) makes I(f) = sum_j (-Delta/2)^j f(0), whence
+    the integers W_{T,i} = (-1)^i sum_{l>i} C(T+1,l), in O(T), no E_n read."""
+    row, tail, c = [0] * (T + 1), 0, 1  # c = C(T+1, i+1)
+    for i in range(T, -1, -1):
+        tail += c
+        row[i] = -tail if i & 1 else tail
+        c = c * (i + 1) // (T + 1 - i)
+    return row
+
+
+def _integral_at(f: Poly, n: int) -> Fraction:
+    """I(f(x+n)) = 2^-d sum_{i<=d} f(n+i) W_{d,i}, d the degree of f, from
+    the integer numerators of f by Horner and one Fraction at the end."""
+    d, nums, total = max(f.degree, 0), f.numerators[::-1], 0  # zero f as degree 0
+    for i, w in enumerate(_weights(d)):
+        v, x = 0, n + i
+        for a in nums:
+            v = v * x + a
+        total += v * w
+    return Fraction(total, f.denominator << d)
+
+
 def integrate_shifted(f: Poly, n: int, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
     """I(f(x+n)) computed two ways and cross-checked.
 
-    Directly: integrate the shifted polynomial.  Via the n-step functional
-    equation: (-1)^n I(f) + 2 sum_{l=0}^{n-1} (-1)^(n-1-l) f(l).  A mismatch
-    would mean a bug in polynomial composition or the Euler table, so it
-    raises rather than returning either value.
+    Directly: from the values of f at n..n+d (`_integral_at`).  Via the
+    n-step functional equation: (-1)^n I(f) + 2 sum_{l=0}^{n-1} (-1)^(n-1-l)
+    f(l), I(f) from the Euler table.  A mismatch would mean a bug in the
+    weights or the table, so it raises rather than returning either value.
     """
     if n < 0:
         raise ValueError("shift must be nonnegative")
-    direct = integrate(f.shifted(n), cache)
+    direct = _integral_at(f, n)
     tail = sum(((-1) ** (n - 1 - l) * f(l) for l in range(n)), Fraction(0))
     via_rule = (-1) ** n * integrate(f, cache) + 2 * tail
     if direct != via_rule:
@@ -97,16 +122,16 @@ def integrate_reflected(n: int, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
     return direct
 
 
-def partial_sum(f: Poly, p: int, N: int, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
+def partial_sum(f: Poly, p: int, N: int) -> Fraction:
     """S_N(f) = sum_{x=0}^{p^N - 1} (-1)^x f(x), exactly.
 
     n = p^N is odd, so the n-step equation reads I(f(x+n)) = -I(f) + 2 S_N(f):
-    two Euler-moment integrals, O(deg^2) work however large N is.
+    two integrals read off values of f, O(deg^2) work however large N is.
     """
     _check_odd_prime(p)
     if N < 0:
         raise ValueError("N must be nonnegative")
-    return (integrate(f, cache) + integrate(f.shifted(p**N), cache)) / 2
+    return (_integral_at(f, 0) + _integral_at(f, p**N)) / 2
 
 
 @dataclass(frozen=True)
@@ -132,9 +157,9 @@ def convergence_trace(f: Poly, p: int, N_max: int,
     """Trace S_N against the exact integral for N = 1..N_max.
 
     Each row is one `partial_sum`, so the cost grows with N_max and the
-    degree of f, not with p^N_max.  Rows are exact; the valuation gap is
-    >= N when everything is working (the tests pin that down, this
-    function just reports).
+    degree of f, not with p^N_max.  Rows are exact; S_N reads no Euler
+    number and I(f) does, so the gap is >= N only while the two routes
+    agree (the tests pin that down, this function just reports).
     """
     _check_odd_prime(p)
     if N_max < 0:
@@ -142,7 +167,7 @@ def convergence_trace(f: Poly, p: int, N_max: int,
     exact = integrate(f, cache)
     rows = []
     for n in range(1, N_max + 1):
-        s_n = partial_sum(f, p, n, cache)
+        s_n = partial_sum(f, p, n)
         rows.append((n, s_n, vp(s_n - exact, p)))
     return PartialSumTrace(p=p, rows=tuple(rows))
 

@@ -64,9 +64,9 @@ two sides, each the oracle or a literal formula written once in `_F`, which
 is None where its text does not apply (no report); run_suites loops over
 the rows.  The sides of a case of total degree T are compared as integers
 over 2^T: each formula sums the integers e_j = 2^j E_j, shifted up to 2^T,
-and the oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over integer weights
-from the functional equation I(f(x+1)) + I(f) = 2 f(0) alone, so a wrong
-Euler table cannot shift both sides alike.
+and the oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over the integer
+weights `fermint._weights` reads off I(f(x+1)) + I(f) = 2 f(0) alone, so a
+wrong Euler table cannot shift both sides alike.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .bernstein import bernstein_poly
 from .euler import DEFAULT_CACHE, EulerCache, euler_numbers, euler_poly
 from .exactnum import Poly, binom
+from .fermint import _weights
 
 __all__ = [
     "CORRECTED",
@@ -163,19 +164,7 @@ def _factor(k: int, n: int, m: int) -> tuple[int, int, int]:
 
 
 # -- the oracle ----------------------------------------------------------------
-# I(f(x+1)) + I(f) = 2 f(0) makes I(f) = sum_j (-Delta/2)^j f(0), so for f of
-# degree at most T, 2^T I(f) = sum_{i<=T} f(i) W_{T,i} with the integers
-# W_{T,i} = (-1)^i sum_{j=i}^{T} C(j,i) 2^(T-j): no Euler number is read.
-
-def _weights(memo: list, T: int) -> list:
-    """W_{T,0..T}, from `memo` = [W_0, W_1, ...], which grows through W_T by
-    W_{t,i} = 2 W_{t-1,i} + (-1)^i C(t,i), W_{t-1,t} = 0; memo starts [[1]]."""
-    while len(memo) <= T:
-        t = len(memo)
-        memo.append([(w << 1) + (-binom(t, i) if i & 1 else binom(t, i))
-                     for i, w in enumerate(memo[-1] + [0])])
-    return memo[T]
-
+# 2^T I(f) is the values of f at 0..T dotted with the row W_T of `_weights`.
 
 def _values(memo: dict, f: tuple[int, int, int], L: int) -> list:
     """B_{k,n}^m, f = (k, n, m), at x = 0..L or further, from `memo`, which
@@ -193,9 +182,9 @@ def _values(memo: dict, f: tuple[int, int, int], L: int) -> list:
     return row
 
 
-def _folded(weights: list, values: dict, prefix: Sequence, L: int) -> list:
-    """W_{L,x} times the prefix's product at x, for x = 0..L."""
-    q = _weights(weights, L)
+def _folded(q: list, values: dict, prefix: Sequence) -> list:
+    """W_{L,x} times the prefix's product at x, for x = 0..L, q = W_L."""
+    L = len(q) - 1
     for f in prefix:
         if f[2]:  # B^0 = 1
             q = list(map(mul, q, _values(values, f, L)))
@@ -219,7 +208,7 @@ def oracle_integral(spec: ProductSpec) -> Fraction:
     if not math.prod(_factor(*f)[2] for f in spec.factors):
         return Fraction(0)
     T = spec.degree
-    return Fraction(sum(_folded([[1]], {}, spec.factors, T)), 1 << T)
+    return Fraction(sum(_folded(_weights(T), {}, spec.factors)), 1 << T)
 
 
 def _text(num: int, den: int) -> str:
@@ -538,13 +527,14 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
     zero product, and each literal formula once per (k, s, T, K).  The sides
     of a case of total degree T are compared as integers over 2^T."""
     e: list = []
-    weights, values = [[1]], {}  # W_0, W_1, ... and each factor's values, see _folded
+    values: dict = {}  # each factor's values, see _values
     literals: dict = {}  # (k, s, T, K) -> (lhs, rhs) of each row, _ORACLE or a value
     keys: list = []  # the sort key of each case
     columns = [[] for _ in rows]  # per row, the report of each case, or None
     targets = [(column, row.sid, row.part, row.edition or CORRECTED)
                for column, row in zip(columns, rows)]
     factor = lru_cache(maxsize=None)(_factor)
+    weights = lru_cache(maxsize=None)(_weights)
 
     for k, prefix, cases in runs:
         T0 = K0 = 0
@@ -576,7 +566,7 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
                         if scale:
                             if q is None:
                                 L = T0 + max(factor(*f)[0] for f, _, _ in cases)
-                                q = _folded(weights, values, prefix, L)
+                                q = _folded(weights(L), values, prefix)
                             oracle = _oracle(q, _values(values, last, L), L - T)
                     left, right = oracle, right * scale
                 column.append(IdentityReport(sid, params if part is None else
@@ -612,7 +602,7 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     degree, then the remaining parameters lexicographically.  The reports
     of one case keep catalog order (T14 part II, then part I corrected,
     then as-printed).  The ordering, and the report contents, are fully
-    deterministic.
+    deterministic.  A requested suite with no rows raises ValueError.
     """
     if isinstance(ids, str):
         ids = [ids]
@@ -642,6 +632,9 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     sweeps = [(family(**ranges), rows) for family, rows in families.items()]
     for runs, rows in sweeps:
         out.update(_sweep(runs, rows, cache))
+    empty = [sid for sid in wanted if not out[sid]]
+    if empty:
+        raise ValueError(f"empty sweep, no rows for {', '.join(empty)}")
     return [report for sid in wanted for report in out[sid]]
 
 
@@ -654,9 +647,7 @@ def find_counterexample(suite_id: str, variant: str = AS_PRINTED,
     default variant this locates the minimal counterexample to a
     typo-carrying catalog entry; with variant="corrected" a None return
     is the exhaustive all-clear for the swept range.  A range that sweeps
-    no rows raises ValueError, since checking nothing clears nothing.
+    no rows raises ValueError, as in run_suites.
     """
     reports = run_suites([suite_id], variant=variant, **ranges)
-    if not reports:
-        raise ValueError(f"empty sweep, no rows for {suite_id}")
     return next((report for report in reports if not report.equal), None)

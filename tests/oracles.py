@@ -9,7 +9,8 @@ polynomials are plain lists of Fractions, lowest degree first, with the
 schoolbook operations on them, and the catalog's literal formulas are
 summed as Fractions.  Agreement between these and the package
 is the point of most tests.  The package gets S_N from the shift
-equation, so `alternating_sum` is the only plain O(p^N) route to it.
+equation, as integrals read off d + 1 values of f over integer weights,
+so `alternating_sum` is the only plain O(p^N) route to it.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermibern import (
+    DEFAULT_CACHE,
+    EulerCache,
     PadicApprox,
     PartialSumTrace,
     Poly,
@@ -79,6 +81,34 @@ class TestShiftedArguments:
     def test_shift_zero_is_identity(self):
         f = Poly([2, 0, 1])
         assert integrate_shifted(f, 0) == integrate(f)
+
+
+def _faulty_table(faults):
+    """A fresh Euler table with e_j = 2^j E_j off by faults[j]."""
+    cache = EulerCache()
+    cache.ensure(max(faults))
+    for j, delta in faults.items():
+        cache._scaled[j] += delta
+    return cache
+
+
+class TestTableFaults:
+    # partial sums read no Euler number, so a wrong table cannot shift them
+    # along with the integral they are compared against
+    F = Poly([1, -2, 0, 3, 0, 1])
+
+    def test_trace_shows_a_gap_below_depth(self):
+        trace = convergence_trace(self.F, 5, 4, _faulty_table({3: 1, 5: -7}))
+        assert any(gap < N for N, _, gap in trace.rows)
+
+    def test_partial_sum_ignores_the_table(self, monkeypatch):
+        # the default table, faulted for this test only
+        monkeypatch.setattr(DEFAULT_CACHE, "_scaled", _faulty_table({3: 1, 5: -7})._scaled)
+        assert partial_sum(self.F, 5, 2) == alternating_sum(self.F.coeffs, 5, 2) == 4417321
+
+    def test_shift_rule_catches_the_table(self):
+        with pytest.raises(ArithmeticError):
+            integrate_shifted(Poly([1, -2, 0, 3]), 2, _faulty_table({3: 1}))
 
 
 class TestReflectedArguments:

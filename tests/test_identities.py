@@ -118,14 +118,14 @@ class TestOracle:
     @settings(max_examples=60, deadline=None)
     @given(_sweep_like_runs)
     def test_sweep_like_runs_match_fraction_products(self, runs):
-        # one weight memo and one value memo for the whole sequence, as in a
-        # sweep: each run folds its prefix into W_L once, L its largest total
-        # degree, and each case is one dot product and a shift by L - T
-        weights, values = [[1]], {}
+        # one value memo for the whole sequence, as in a sweep: each run folds
+        # its prefix into W_L once, L its largest total degree, and each case
+        # is one dot product and a shift by L - T
+        values = {}
         for prefix, lasts in runs:
             T0 = sum(n * m for _, n, m in prefix)
             L = T0 + max(n * m for _, n, m in lasts)
-            q = identities._folded(weights, values, prefix, L)
+            q = identities._folded(identities._weights(L), values, prefix)
             for last in lasts:
                 T = T0 + last[1] * last[2]
                 value = identities._oracle(q, identities._values(values, last, L), L - T)
@@ -135,26 +135,25 @@ class TestOracle:
     def test_weights_give_the_series_euler_numbers(self):
         # sum_i i^n W_{T,i} = 2^T I(x^n) = 2^T E_n for every n <= T <= 90, with
         # E_n from the exponential series, not from the production table
-        memo = [[1]]
         for T in range(91):
-            w = identities._weights(memo, T)
+            w = identities._weights(T)
             assert len(w) == T + 1
             for n in range(T + 1):
                 assert sum(i ** n * wi for i, wi in enumerate(w)) == _SERIES_E[n] * 2 ** T, (T, n)
 
     def test_weight_recurrence_matches_the_closed_sum(self):
-        # the memo, grown by W_{T,i} = 2 W_{T-1,i} + (-1)^i C(T,i) in one call,
-        # holds W_{T,i} = (-1)^i sum_{j=i}^{T} C(j,i) 2^(T-j) for every T it
-        # passed, and a smaller T later is read from it
-        memo = [[1]]
-        assert identities._weights(memo, 90) is memo[90] and len(memo) == 91
-        for T, w in enumerate(memo):
+        # the closed form W_{T,i} = (-1)^i sum_{l>i} C(T+1,l) equals
+        # W_{T,i} = (-1)^i sum_{j=i}^{T} C(j,i) 2^(T-j) and satisfies the
+        # recurrence W_{T,i} = 2 W_{T-1,i} + (-1)^i C(T,i), W_{T-1,T} = 0
+        previous = None
+        for T in range(91):
+            w = identities._weights(T)
             assert w == [(-1) ** i * sum(math.comb(j, i) << (T - j) for j in range(i, T + 1))
                          for i in range(T + 1)], T
             if T:
                 assert w == [2 * a + (-1) ** i * math.comb(T, i)
-                             for i, a in enumerate(memo[T - 1] + [0])], T
-        assert identities._weights(memo, 40) is memo[40] and len(memo) == 91
+                             for i, a in enumerate(previous + [0])], T
+            previous = w
 
     def test_zero_product_builds_nothing(self, monkeypatch):
         def no_values(*args):
@@ -460,6 +459,11 @@ class TestRunSuites:
 
     def test_single_string_id(self):
         assert run_suites("T1", n_max=3) == run_suites(["T1"], n_max=3)
+
+    def test_empty_sweep_names_every_empty_suite(self):
+        # a sweep that checks nothing must not return an empty all-clear
+        with pytest.raises(ValueError, match="empty sweep, no rows for T1, T3, C13"):
+            run_suites(["T1", "T3", "C13"], n_max=0, k_max=0)
 
     def test_all_expands_in_canonical_order(self):
         reports = run_suites("ALL", n_max=3, s_max=2, m_max=1, k_max=1)
