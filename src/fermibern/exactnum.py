@@ -78,9 +78,11 @@ class Poly:
 
     @classmethod
     def from_coeff_string(cls, text: str) -> "Poly":
-        """Parse "c0, c1, ..." (lowest degree first); rationals like 3/4 allowed."""
+        """Parse "c0, c1, ..." (lowest degree first); rationals like 3/4 and
+        decimals like 2.5 allowed.  Exponent notation is refused: for
+        "1e100000000" Fraction would build a 10^8-digit integer."""
         parts = [p.strip() for p in text.split(",")]
-        if not parts or any(p == "" for p in parts):
+        if any(p == "" or "e" in p or "E" in p for p in parts):
             raise ValueError(f"malformed coefficient list: {text!r}")
         try:
             return cls([Fr(p) for p in parts])

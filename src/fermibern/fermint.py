@@ -127,11 +127,17 @@ def partial_sum(f: Poly, p: int, N: int) -> Fraction:
 
     n = p^N is odd, so the n-step equation reads I(f(x+n)) = -I(f) + 2 S_N(f):
     two integrals read off values of f, O(deg^2) work however large N is.
+    S_N sums values f(x), so its denominator divides that of f; a result
+    that breaks this raises rather than being returned.
     """
     _check_odd_prime(p)
     if N < 0:
         raise ValueError("N must be nonnegative")
-    return (_integral_at(f, 0) + _integral_at(f, p**N)) / 2
+    s_n = (_integral_at(f, 0) + _integral_at(f, p**N)) / 2
+    if f.denominator % s_n.denominator:
+        raise ArithmeticError(f"S_{N} = {s_n} has a denominator that does not "
+                              f"divide {f.denominator}, that of f")
+    return s_n
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Catalog ids.  C(a,b) is the binomial coefficient, E_r the r-th Euler
 number, B_{k,n} the Bernstein basis polynomial.  For the product entries
 T and K abbreviate the total degree and the lower index sum.
 
-  EULER  sanity block: E_2m = 0 (m >= 1); E_n(2) = 2 + E_n (n >= 1);
+  EULER  on x^n = B_{n,n}: E_2m = 0 (m >= 1); E_n(2) = 2 + E_n (n >= 1);
          denominators of E_n are powers of two
   T1     I((1-x)^n) = 2 + E_n                                      n >= 1
   P2     I(B_{k,n}) = C(n,k) sum_{j=0}^{n-k} C(n-k,j)(-1)^j E_{k+j}
@@ -58,7 +58,7 @@ Conventions: an empty sum is 0, and every literal sign expression is kept
 exactly as the catalog states it ((-1)^(j+2k), (-1)^(3k-j), ...) rather
 than parity-simplified; the tests check both spellings agree.
 
-A suite other than EULER is one row of `_CATALOG` per part (T14 I, II) and
+Each suite is one row of `_CATALOG` per check (EULER), part (T14 I, II) and
 edition (corrected, as-printed): the family of products it sweeps and its
 two sides, each the oracle or a literal formula written once in `_F`, which
 is None where its text does not apply (no report); run_suites loops over
@@ -82,7 +82,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .bernstein import bernstein_poly
-from .euler import DEFAULT_CACHE, EulerCache, euler_numbers, euler_poly
+from .euler import DEFAULT_CACHE, EulerCache
 from .exactnum import Poly, binom
 from .fermint import _weights
 
@@ -292,31 +292,16 @@ class IdentityReport:
         return report
 
 
-def _euler_rows(cache: EulerCache, n_max: int = DEFAULT_EULER_N_MAX, **_) -> list:
-    """The EULER block, by n and then check."""
-    ev = euler_numbers(n_max, cache)
-    checks = (
-        ("even_zero", range(2, n_max + 1, 2), lambda n: (ev[n], Fraction(0))),
-        ("shift_two", range(1, n_max + 1),
-         lambda n: (euler_poly(n, cache)(2), 2 + ev[n])),
-        ("dyadic_denominator", range(n_max + 1),
-         lambda n: (Fraction(ev[n].denominator),
-                    Fraction(2 ** (ev[n].denominator.bit_length() - 1)))),
-    )
-    return [IdentityReport.from_values("EULER", {"n": n, "check": check}, *sides(n))
-            for n in range(n_max + 1) for check, ns, sides in checks if n in ns]
-
-
 # -- the literal formulas ------------------------------------------------------
 
-def _alt(width: int, sign: Callable[[int], int], index: Callable[[int], int],
+def _alt(width: int, weight: Callable[[int], int], index: Callable[[int], int],
          e: Sequence[int], T: int) -> int:
-    """2^T sum_{j=0}^{width} C(width, j) sign(j) E[index(j)] over e_i = 2^i E_i,
-    an integer while every index(j) <= T; 0 when width < 0."""
+    """2^T sum_{j=0}^{width} C(width, j) weight(j) E[index(j)] over e_i = 2^i E_i
+    (weight a sign, or 2^j), an integer while every index(j) <= T; 0 when width < 0."""
     total = 0
     for j in range(width + 1):
         i = index(j)
-        total += binom(width, j) * sign(j) * e[i] << (T - i)
+        total += binom(width, j) * weight(j) * e[i] << (T - i)
     return total
 
 
@@ -324,10 +309,11 @@ def _alt(width: int, sign: Callable[[int], int], index: Callable[[int], int],
 # shared lower index k (None for T14), the factor count s, the total degree
 # T and the lower index sum K, and gives its value times 2^T: no index it
 # reads exceeds T.  The single- and two-factor entries read n = T and
-# n + m = T.  T12's text tests k = 0, which for T12 is K = 0; its formula
-# is shared with T14(I).  None means the text does not apply to the case:
-# every T-form holds only for T > K (k < n, n + m > 2k, ...), and C13 as
-# printed reads E_{K-j} for j up to T - K.
+# n + m = T, EULER's read n = T.  T12's text tests k = 0, which for T12 is
+# K = 0; its formula is shared with T14(I).  None means the text does not
+# apply to the case: every T-form holds only for T > K (k < n, n + m > 2k,
+# ...), C13 as printed reads E_{K-j} for j up to T - K, E_T = 0 holds for
+# even T >= 2 and E_T(2) = sum_j C(T,j) 2^j E_{T-j} = 2 + E_T for T >= 1.
 _F = {
     "T1": lambda e, k, s, T, K: (2 << T) + e[T],
     "P2": lambda e, k, s, T, K: _alt(T - k, lambda j: (-1) ** j, lambda j: k + j, e, T),
@@ -353,6 +339,12 @@ _F = {
     "T14 as printed": lambda e, k, s, T, K: None if T <= K else (
         (2 << T) + e[T] if K == 0 else _alt(
             K, lambda j: (-1) ** (K - j), lambda j: T - K, e, T)),
+    "E_T": lambda e, k, s, T, K: e[T],
+    "0": lambda e, k, s, T, K: 0 if T >= 2 and T % 2 == 0 else None,
+    "E_T(2)": lambda e, k, s, T, K: None if T < 1 else _alt(
+        T, lambda j: 2 ** j, lambda j: T - j, e, T),
+    "den E_T": lambda e, k, s, T, K: (1 << T) // math.gcd(e[T], 1 << T) << T,
+    "top bit": lambda *args: 1 << (_F["den E_T"](*args).bit_length() - 1),
 }
 
 
@@ -406,6 +398,11 @@ def _products(label, ks, n_range, m_max, counts, params):
                                        params(k, [*ns, n], [*ms, m]))
                                       for _, n, m in (ends[prefix[-1]] if prefix else row)]
     return runs()
+
+
+def _powers(n_max=DEFAULT_EULER_N_MAX, **_):   # EULER: x^n = B_{n,n}, n >= 0
+    return _products(f"EULER with n_max={n_max}", range(n_max + 1), lambda k: range(k, k + 1),
+                     1, (1,), lambda k, ns, ms: {"n": k})
 
 
 def _ladder(n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
@@ -466,20 +463,23 @@ _ORACLE = "oracle"
 
 
 class _Suite(NamedTuple):
-    """One catalog row: a suite, or one part or edition of it.  A side is
-    _ORACLE or a formula of `_F`, None where the text does not apply (no
-    report); against the oracle the right side is scaled by
-    prod_i C(n_i,k_i)^{m_i} (1 for T1).  `edition` is None when the
-    circulating text is correct, else CORRECTED or AS_PRINTED."""
+    """One catalog row: a suite, or one check, part or edition of it.  A side
+    is _ORACLE or a formula of `_F`, None where the text does not apply (no
+    report); against the oracle the right side is scaled by prod_i
+    C(n_i,k_i)^{m_i}.  `extra` joins each report's params; `edition` is None
+    when the circulating text is correct, else CORRECTED or AS_PRINTED."""
     sid: str
     family: Callable
     lhs: object
     rhs: Callable
-    part: Optional[str] = None
+    extra: Optional[dict] = None
     edition: Optional[str] = None
 
 
 _CATALOG = (
+    _Suite("EULER", _powers, _F["E_T"], _F["0"], {"check": "even_zero"}),
+    _Suite("EULER", _powers, _F["E_T(2)"], _F["T1"], {"check": "shift_two"}),
+    _Suite("EULER", _powers, _F["den E_T"], _F["top bit"], {"check": "dyadic_denominator"}),
     _Suite("T1", _ladder, _ORACLE, _F["T1"]),
     _Suite("P2", _single, _ORACLE, _F["P2"]),
     _Suite("T3", _single, _ORACLE, _F["T3"]),
@@ -495,9 +495,9 @@ _CATALOG = (
     _Suite("C13", _mult, _F["C13"], _F["T12"], edition=CORRECTED),
     _Suite("C13", _mult, _F["C13 as printed"], _F["T12"], edition=AS_PRINTED),
     # the reports of one case come in catalog order: part II before part I
-    _Suite("T14", _full, _ORACLE, _F["C13"], "II"),
-    _Suite("T14", _full, _ORACLE, _F["T12"], "I", CORRECTED),
-    _Suite("T14", _full, _ORACLE, _F["T14 as printed"], "I", AS_PRINTED),
+    _Suite("T14", _full, _ORACLE, _F["C13"], {"part": "II"}),
+    _Suite("T14", _full, _ORACLE, _F["T12"], {"part": "I"}, CORRECTED),
+    _Suite("T14", _full, _ORACLE, _F["T14 as printed"], {"part": "I"}, AS_PRINTED),
     _Suite("C15", _full, _F["C13"], _F["T12"], edition=CORRECTED),
     _Suite("C15", _full, _F["C13"], _F["T14 as printed"], edition=AS_PRINTED),
 )
@@ -531,7 +531,7 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
     literals: dict = {}  # (k, s, T, K) -> (lhs, rhs) of each row, _ORACLE or a value
     keys: list = []  # the sort key of each case
     columns = [[] for _ in rows]  # per row, the report of each case, or None
-    targets = [(column, row.sid, row.part, row.edition or CORRECTED)
+    targets = [(column, row.sid, row.extra, row.edition or CORRECTED)
                for column, row in zip(columns, rows)]
     factor = lru_cache(maxsize=None)(_factor)
     weights = lru_cache(maxsize=None)(_weights)
@@ -556,7 +556,7 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
             keys.append((T, tail))
             den, scale = 1 << T, c0 * c
             oracle = None
-            for (column, sid, part, edition), (left, right) in zip(targets, sides):
+            for (column, sid, extra, edition), (left, right) in zip(targets, sides):
                 if left is None or right is None:  # the text does not apply to this case
                     column.append(None)
                     continue
@@ -569,8 +569,8 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
                                 q = _folded(weights(L), values, prefix)
                             oracle = _oracle(q, _values(values, last, L), L - T)
                     left, right = oracle, right * scale
-                column.append(IdentityReport(sid, params if part is None else
-                                             {**params, "part": part},
+                column.append(IdentityReport(sid, params if extra is None else
+                                             {**params, **extra},
                                              left, right, den, edition))
 
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -590,13 +590,13 @@ def run_suites(ids: Union[str, Sequence[str]], *,
                cache: EulerCache = DEFAULT_CACHE) -> list[IdentityReport]:
     """Run the requested suites and return canonically ordered reports.
 
-    ids is a suite id, a sequence of them, or "ALL".  A range override
-    must be a nonnegative int (ValueError otherwise, before any sweep);
-    one that a suite has no use for is ignored by it.  `variant` selects
-    which edition of the typo-carrying entries (C13, T14 part I, C15) to
-    evaluate: "corrected" (default), "as-printed", or "both"; entries
-    whose circulating text is already correct always report
-    variant="corrected".
+    ids is a suite id, a nonempty sequence of them, or "ALL".  A range
+    override must be a nonnegative int, not a bool (ValueError otherwise,
+    before any sweep); one that a suite has no use for is ignored by it.
+    `variant` selects which edition of the typo-carrying entries (C13, T14
+    part I, C15) to evaluate: "corrected" (default), "as-printed", or
+    "both"; entries whose circulating text is already correct always
+    report variant="corrected".
 
     Ordering: suites in catalog order, then one sort key per case: total
     degree, then the remaining parameters lexicographically.  The reports
@@ -613,16 +613,15 @@ def run_suites(ids: Union[str, Sequence[str]], *,
         if sid != "ALL" and sid not in SUITE_ORDER:
             raise ValueError(f"unknown suite id {sid!r}")
     wanted = [sid for sid in SUITE_ORDER if sid in ids or "ALL" in ids]
+    if not wanted:
+        raise ValueError("no suite requested")
     ranges = {name: value for name, value in zip(("n_max", "k_max", "s_max", "m_max"),
                                                  (n_max, k_max, s_max, m_max))
               if value is not None}
     for name, value in ranges.items():
-        if not isinstance(value, int) or value < 0:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
     out: dict[str, list] = {}
-    if "EULER" in wanted:
-        out["EULER"] = _euler_rows(cache, **ranges)
-
     families: dict[Callable, list] = {}
     for row in _CATALOG:
         if row.sid in wanted and (row.edition is None or row.edition in variants):

@@ -187,4 +187,10 @@ FRACTION_FORMULAS = {
         T - K, lambda j: (-1) ** j, lambda j: K - j, E),
     "T14 as printed": lambda E, k, s, T, K: None if T <= K else (
         2 + E[T] if K == 0 else alt(K, lambda j: (-1) ** (K - j), lambda j: T - K, E)),
+    "E_T": lambda E, k, s, T, K: E[T],
+    "0": lambda E, k, s, T, K: Fraction(0) if T >= 2 and T % 2 == 0 else None,
+    "E_T(2)": lambda E, k, s, T, K: None if T < 1 else sum(
+        (comb(T, i) * E[T - i] * 2**i for i in range(T + 1)), Fraction(0)),
+    "den E_T": lambda E, k, s, T, K: Fraction(E[T].denominator),
+    "top bit": lambda E, k, s, T, K: Fraction(2 ** (E[T].denominator.bit_length() - 1)),
 }

@@ -209,6 +209,8 @@ class TestUsageErrors:
         ["verify", "C13", "--s-max", "30"],
         ["verify", "T10", "--s-max", "0", "--k-max", "1000000000"],
         ["verify", "T12", "--m-max", "0", "--k-max", "1000000000"],
+        ["integrate", "1e100000000"],
+        ["verify", "EULER", "--n-max", "200000"],
     ])
     def test_exit_code_two(self, argv, capsys, tmp_path):
         out_path = tmp_path / "missing" / "out"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermibern import fermint
 from fermibern import (
     DEFAULT_CACHE,
     EulerCache,
@@ -140,6 +141,15 @@ class TestPartialSums:
     def test_frozen(self):
         assert partial_sum(Poly.x(), 3, 1) == 1
         assert partial_sum(Poly.x(), 3, 2) == 4
+
+    def test_wrong_weights_give_a_denominator_that_is_refused(self, monkeypatch):
+        # S_N sums values of f, so its denominator divides that of f; with
+        # W_{1,0} one too large, x would give S_2 = 25/4 instead of 4
+        weights = fermint._weights
+        monkeypatch.setattr(fermint, "_weights", lambda T: [
+            w + (T == 1 and i == 0) for i, w in enumerate(weights(T))])
+        with pytest.raises(ArithmeticError, match="denominator"):
+            partial_sum(Poly([0, 1]), 3, 2)
 
     def test_against_direct_loop(self):
         polys = [
