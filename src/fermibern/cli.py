@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 from .bernstein import bernstein_poly
 from .euler import euler_number, euler_poly
 from .exactnum import Poly
-from .fermint import convergence_trace, integrate
+from .fermint import convergence_trace, integrate, partial_sum
 from .identities import (AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER,
                          IdentityReport, run_suites)
 
@@ -65,26 +65,30 @@ def _writes(text: str) -> Callable[[TextIO], None]:
     return lambda out: (out.write(text[:-1]), out.write(text[-1:]))
 
 
+def _too_long(num: int, den: int) -> bool:
+    """Whether num/den, den > 0, printed in lowest terms would pass the
+    int-to-str limit (sys.set_int_max_str_digits), which refuses a value of
+    more than `limit` digits, that is |v| >= 10^limit.  The fraction is
+    reduced only when num or den is past the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if not limit or max(num.bit_length(), den.bit_length()) <= limit * 3321928 // 1000000:
+        return False  # 2^(limit * 3321928 // 1000000) <= 10^limit
+    g = gcd(num, den)
+    return any(abs(v) >= 10 ** limit for v in (num // g, den // g))
+
+
+def _limit_error(where: str) -> ValueError:
+    return ValueError(f"{where}: a value has more than {sys.get_int_max_str_digits()} "
+                      f"digits, the int-to-str limit (sys.set_int_max_str_digits)")
+
+
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
     """Raise ValueError, before any output, if the printed (reduced) lhs or
-    rhs of a report would pass the int-to-str limit
-    (sys.set_int_max_str_digits), which refuses a value of more than `limit`
-    digits, that is |v| >= 10^limit.  A side is reduced only when its stored
-    numerator or denominator is past the limit."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if not limit:
-        return
-    safe_bits = limit * 3321928 // 1000000  # 2^safe_bits <= 10^limit
+    rhs of a report would pass the int-to-str limit (see `_too_long`)."""
     for r in reports:
         den = r.denominator
-        for num in (r.lhs_numerator, r.rhs_numerator):
-            if max(num.bit_length(), den.bit_length()) <= safe_bits:
-                continue
-            g = gcd(num, den)
-            if any(abs(v) >= 10 ** limit for v in (num // g, den // g)):
-                raise ValueError(f"{r.suite} {_params_text(r.params)}: a value has more "
-                                 f"than {limit} digits, the int-to-str limit "
-                                 f"(sys.set_int_max_str_digits)")
+        if _too_long(r.lhs_numerator, den) or _too_long(r.rhs_numerator, den):
+            raise _limit_error(f"{r.suite} {_params_text(r.params)}")
 
 
 def _params_text(params: dict) -> str:
@@ -194,7 +198,15 @@ def _cmd_integrate(args):
 
 
 def _cmd_padic_trace(args):
-    trace = convergence_trace(_parse_poly(args.poly), args.p, args.n_max)
+    f = _parse_poly(args.poly)
+    # |S_N| grows with p^N, so the deepest row, one partial sum, is the
+    # longest: a trace that cannot print is refused before any row is made
+    # (a longer middle row, which a polynomial with huge coefficients could
+    # give, still fails its str() below, before any output)
+    last = partial_sum(f, args.p, args.n_max)
+    if _too_long(last.numerator, last.denominator):
+        raise _limit_error(f"S_{args.n_max}")
+    trace = convergence_trace(f, args.p, args.n_max)
     if args.format == "csv":
         return 0, _writes(trace.to_csv())
     lines = [f"{'N':>3}  {'S_N':<24} valuation_gap"]

@@ -24,6 +24,15 @@ Fr = Fraction  # local binding, constructed a lot
 Coeff = Union[int, Fraction, str]
 
 
+def _parsed(c: object) -> Fraction:
+    """A coefficient that is not an int or Fraction, as a Fraction: text such
+    as "3/4" or "2.5" is read exactly, but exponent notation is refused, since
+    for "1e100000000" Fraction would build a 10^8-digit integer."""
+    if isinstance(c, str) and ("e" in c or "E" in c):
+        raise ValueError(f"malformed coefficient {c!r}: no exponent notation")
+    return Fr(c)
+
+
 # C(n, k); 0 for k > n, so an out-of-range B_{k,n} in a sweep has prefactor 0
 binom = comb
 
@@ -43,7 +52,7 @@ class Poly:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Coeff] = ()) -> None:
-        cs = [c if isinstance(c, (int, Fraction)) else Fr(c) for c in coeffs]
+        cs = [c if isinstance(c, (int, Fraction)) else _parsed(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         self._nums, self._den = _canonical(
             [c.numerator * (den // c.denominator) for c in cs], den)
@@ -78,14 +87,14 @@ class Poly:
 
     @classmethod
     def from_coeff_string(cls, text: str) -> "Poly":
-        """Parse "c0, c1, ..." (lowest degree first); rationals like 3/4 and
-        decimals like 2.5 allowed.  Exponent notation is refused: for
-        "1e100000000" Fraction would build a 10^8-digit integer."""
+        """Parse "c0, c1, ..." (lowest degree first), each coefficient as
+        `Poly` reads text: rationals like 3/4 and decimals like 2.5 allowed,
+        exponent notation refused."""
         parts = [p.strip() for p in text.split(",")]
-        if any(p == "" or "e" in p or "E" in p for p in parts):
+        if "" in parts:
             raise ValueError(f"malformed coefficient list: {text!r}")
         try:
-            return cls([Fr(p) for p in parts])
+            return cls(parts)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -197,7 +206,8 @@ class Poly:
     def __call__(self, x: Coeff) -> Fraction:
         """Evaluate at a rational point a/b by Horner's rule in integers:
         sum_i n_i a^i b^(d-i), then one division by den * b^d."""
-        x = Fr(x)
+        if not isinstance(x, (int, Fraction)):
+            x = _parsed(x)
         a, b = x.numerator, x.denominator
         acc, scale = 0, 1
         for n in reversed(self._nums):

@@ -61,12 +61,14 @@ than parity-simplified; the tests check both spellings agree.
 Each suite is one row of `_CATALOG` per check (EULER), part (T14 I, II) and
 edition (corrected, as-printed): the family of products it sweeps and its
 two sides, each the oracle or a literal formula written once in `_F`, which
-is None where its text does not apply (no report); run_suites loops over
-the rows.  The sides of a case of total degree T are compared as integers
-over 2^T: each formula sums the integers e_j = 2^j E_j, shifted up to 2^T,
-and the oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over the integer
-weights `fermint._weights` reads off I(f(x+1)) + I(f) = 2 f(0) alone, so a
-wrong Euler table cannot shift both sides alike.
+is None where its text does not apply (no report); `SUITE_ORDER` is read off
+the rows.  run_suites sweeps each family once for all its rows, and the
+sweep evaluates each formula once per (k, s, T, K) on `EulerCache.scaled(T)`,
+the integers e_j = 2^j E_j, which a formula sums shifted up to 2^T.  So the
+sides of a case of total degree T are compared as integers over 2^T: the
+oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over the integer weights
+`fermint._weights` reads off I(f(x+1)) + I(f) = 2 f(0) alone, so a wrong
+Euler table cannot shift both sides alike.
 """
 
 from __future__ import annotations
@@ -101,11 +103,6 @@ CORRECTED = "corrected"
 AS_PRINTED = "as-printed"
 BOTH = "both"
 
-SUITE_ORDER = (
-    "EULER", "T1", "P2", "T3", "C4", "T5", "P6", "C7",
-    "T8", "C9", "T10", "C11", "T12", "C13", "T14", "C15",
-)
-
 # Default sweep bounds.  Chosen so that a full run stays in the seconds
 # range while still crossing every branch (k = 0 vs k > 0, repeated
 # factors, zero multiplicities, degenerate zero products).
@@ -122,11 +119,11 @@ DEFAULT_EULER_N_MAX = 60
 
 # T14/C15 sweep sum_{n<=n_max} (m_max+1)^(n+1) products; past this many a
 # run is refused up front (n_max = 9, m_max = 2 is 88,572 products and
-# about 20 s on a 2-CPU box; n_max = 10 would be three times that).
+# about 6 s and 125 MB on a 2-CPU box; n_max = 10 would be three times that).
 FULL_PRODUCTS_MAX = 100_000
 # T1..C13 sweep the cases counted by `_products`; past this many a run is
 # refused up front.  Every default range is far below it, and so is T12
-# with s_max = 5 (134,592 cases, about 6 s and 130 MB on a 2-CPU box); each
+# with s_max = 5 (134,592 cases, about 2 s and 125 MB on a 2-CPU box); each
 # report holds about 1 KB until the run ends.
 PRODUCTS_MAX = 150_000
 
@@ -501,21 +498,7 @@ _CATALOG = (
     _Suite("C15", _full, _F["C13"], _F["T12"], edition=CORRECTED),
     _Suite("C15", _full, _F["C13"], _F["T14 as printed"], edition=AS_PRINTED),
 )
-
-
-def _sides(rows: list, e: Sequence[int], args: tuple) -> list:
-    """Each row's (lhs, rhs) on one case, args = (k, s, T, K): _ORACLE or a
-    formula's value, both None where the text does not apply.  A formula
-    runs once, and a left one only where the right one applies."""
-    value = {_ORACLE: _ORACLE}
-
-    def side(f):
-        if f not in value:
-            value[f] = f(e, *args)
-        return value[f]
-
-    return [(None, None) if (right := side(row.rhs)) is None else (side(row.lhs), right)
-            for row in rows]
+SUITE_ORDER = tuple(dict.fromkeys(row.sid for row in _CATALOG))
 
 
 def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
@@ -524,17 +507,26 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
     of T, K and the prefactor is made once per run, and so is its value row
     folded into W_L, L the run's largest T, the first time a case of the run
     reaches the oracle; the oracle runs at most once per case, none for a
-    zero product, and each literal formula once per (k, s, T, K).  The sides
-    of a case of total degree T are compared as integers over 2^T."""
-    e: list = []
+    zero product.  Per-sweep caches hold each factor's share, each W_L and
+    the literal sides: `side` evaluates a formula once per (k, s, T, K) on
+    `cache.scaled(T)`.  Sides of total degree T compare as integers over 2^T."""
     values: dict = {}  # each factor's values, see _values
-    literals: dict = {}  # (k, s, T, K) -> (lhs, rhs) of each row, _ORACLE or a value
     keys: list = []  # the sort key of each case
     columns = [[] for _ in rows]  # per row, the report of each case, or None
     targets = [(column, row.sid, row.extra, row.edition or CORRECTED)
                for column, row in zip(columns, rows)]
     factor = lru_cache(maxsize=None)(_factor)
     weights = lru_cache(maxsize=None)(_weights)
+    # a formula's value on a case, args = (k, s, T, K); no index it reads exceeds T
+    side = lru_cache(maxsize=None)(lambda f, args: f(cache.scaled(args[2]), *args))
+
+    @lru_cache(maxsize=None)
+    def sides_of(args: tuple) -> list:
+        """Each row's (lhs, rhs) on a case, _ORACLE or a formula's value; a left
+        formula runs only where the right one applies, both None elsewhere."""
+        return [(None, None) if (right := side(row.rhs, args)) is None else
+                (row.lhs if row.lhs is _ORACLE else side(row.lhs, args), right)
+                for row in rows]
 
     for k, prefix, cases in runs:
         T0 = K0 = 0
@@ -547,16 +539,11 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
         for last, tail, params in cases:
             dT, dK, c = factor(*last)
             T, K = T0 + dT, K0 + dK
-            args = (k, s, T, K)
-            sides = literals.get(args)
-            if sides is None:
-                if T >= len(e):  # no literal index exceeds T
-                    e = cache.scaled(T)
-                sides = literals[args] = _sides(rows, e, args)
             keys.append((T, tail))
             den, scale = 1 << T, c0 * c
             oracle = None
-            for (column, sid, extra, edition), (left, right) in zip(targets, sides):
+            for (column, sid, extra, edition), (left, right) in zip(targets,
+                                                                  sides_of((k, s, T, K))):
                 if left is None or right is None:  # the text does not apply to this case
                     column.append(None)
                     continue

@@ -244,6 +244,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "products" in err and "n_max=12" in err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no int-to-str digit limit in this interpreter")
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_unprintable_trace_is_refused_at_once(self, fmt, capsys):
+        # S_20000 of x has 9,543 digits, past the default limit of 4300; the
+        # deepest row is checked first, so none of the 20,000 rows is made
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(["padic-trace", "0,1", "3", "20000", "--format", fmt])
+        assert time.perf_counter() - start < 2.0
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "S_20000" in captured.err and "Traceback" not in captured.err
+
     def test_empty_sweep_names_the_empty_suites(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "T1", "T3", "C13", "--n-max", "0", "--k-max", "0"])
@@ -318,6 +333,19 @@ class TestPrintLimit:
         assert captured.out == ""
         assert "640" in captured.err and "Traceback" not in captured.err
         assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_trace_prints_up_to_the_last_row_under_the_limit(self, fmt, limit_640,
+                                                             capsys):
+        # |S_N| of x is (3^N - 1)/2: 640 digits at N = 1342, 641 at N = 1343
+        code, out = run_cli(capsys, "padic-trace", "0,1", "3", "1342", "--format", fmt)
+        assert code == 0
+        assert str((3**1342 - 1) // 2) in out.splitlines()[-1]
+        with pytest.raises(SystemExit) as info:
+            main(["padic-trace", "0,1", "3", "1343", "--format", fmt])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "S_1343" in captured.err
 
     def test_check_is_exact_at_the_limit(self, limit_640):
         # str() refuses a value of more than 640 digits, |v| >= 10^640, and

@@ -58,6 +58,18 @@ class TestPolyBasics:
             with pytest.raises((ValueError, ZeroDivisionError)):
                 Poly.from_coeff_string(bad)
 
+    def test_text_coefficients_share_the_parser_rule(self):
+        # Poly(...) and evaluation read text as from_coeff_string does: exact
+        # rationals and decimals, and no exponent notation, which for
+        # "1e100000000" would build a 10^8-digit integer first
+        assert Poly(["3/4", 0]) == Poly([F(3, 4)])
+        assert Poly(["2.5"]) == Poly([F(5, 2)])
+        assert Poly.x()("1/3") == F(1, 3)
+        for build in (lambda: Poly(["1e3"]), lambda: Poly.x()("1e3"),
+                      lambda: Poly(["1E3"]), lambda: Poly.from_coeff_string("1, 1e3")):
+            with pytest.raises(ValueError, match="exponent"):
+                build()
+
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator"):
             Poly.from_coeff_string("1, 1/0")

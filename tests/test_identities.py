@@ -735,6 +735,48 @@ class TestCatalogEngine:
         Fraction(1, 3)  # the patch does count what is built
         assert len(built) == 1
 
+    def test_each_literal_side_runs_once_and_only_where_its_row_applies(self, full_audit,
+                                                                        monkeypatch):
+        # with every formula and family of the catalog wrapped to log its
+        # calls, the sweep evaluates each formula at most once per family and
+        # case (k, s, T, K), and a left formula only on a case where the right
+        # formula of one of its rows applies; the reports stay as they were
+        catalog, calls, family_now = identities._CATALOG, [], [None]
+
+        def counted(f):
+            def logged(e, *args):
+                value = f(e, *args)
+                calls.append((family_now[0], f, args, value))
+                return value
+            return logged
+
+        def marked(family):
+            def runs(**ranges):
+                made = family(**ranges)  # refuses a range when made, as before
+
+                def walk():
+                    for run in made:
+                        family_now[0] = family
+                        yield run
+                return walk()
+            return runs
+
+        formulas = {f: counted(f) for f in identities._F.values()}
+        families = {row.family: marked(row.family) for row in catalog}
+        monkeypatch.setattr(identities, "_CATALOG", tuple(
+            row._replace(family=families[row.family], lhs=formulas.get(row.lhs, row.lhs),
+                         rhs=formulas[row.rhs]) for row in catalog))
+        assert run_suites("ALL", variant="both") == full_audit
+
+        keys = [(family, f, args) for family, f, args, _ in calls]
+        assert len(keys) == len(set(keys))
+        value = {(family, f, args): v for family, f, args, v in calls}
+        assert None in value.values()
+        for family, f, args in keys:
+            assert any(row.rhs is f or (row.lhs is f and value.get((family, row.rhs, args))
+                                        is not None)
+                       for row in catalog if row.family is family), (f, args)
+
     @pytest.mark.parametrize("ids", [["C13"], "ALL"], ids=["C13", "ALL"])
     def test_c13_alone_never_multiplies_polynomials(self, ids, monkeypatch):
         # the oracle evaluates products at integers, C13 compares two closed
