@@ -35,8 +35,8 @@ from .bernstein import bernstein_poly
 from .euler import euler_number, euler_poly
 from .exactnum import Poly
 from .fermint import convergence_trace, integrate, partial_sum
-from .identities import (AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER,
-                         IdentityReport, run_suites)
+from .identities import (AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER, IdentityReport,
+                         _json_line, _rows, _text, run_suites)
 
 __all__ = ["main", "build_parser"]
 
@@ -85,10 +85,9 @@ def _limit_error(where: str) -> ValueError:
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
     """Raise ValueError, before any output, if the printed (reduced) lhs or
     rhs of a report would pass the int-to-str limit (see `_too_long`)."""
-    for r in reports:
-        den = r.denominator
-        if _too_long(r.lhs_numerator, den) or _too_long(r.rhs_numerator, den):
-            raise _limit_error(f"{r.suite} {_params_text(r.params)}")
+    for part, case, lhs, rhs, den in _rows(reports):
+        if _too_long(lhs, den) or _too_long(rhs, den):
+            raise _limit_error(f"{part.suite} {_params_text(part.params(case))}")
 
 
 def _params_text(params: dict) -> str:
@@ -104,7 +103,7 @@ class _Verdict(NamedTuple):
     ok: bool
     line: str                    # the `result:` line
     counts: dict                 # suite -> [checks, failures]
-    failures: list               # the unequal reports, in report order
+    failures: list               # the unequal rows (see identities._rows), in order
 
 
 def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> _Verdict:
@@ -113,13 +112,14 @@ def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> _Verdict:
     counts: dict[str, list[int]] = {}
     failures = []
     bad_corrected = 0
-    for r in reports:
-        count = counts.setdefault(r.suite, [0, 0])
+    for row in _rows(reports):
+        part, _, lhs, rhs, _ = row
+        count = counts.setdefault(part.suite, [0, 0])
         count[0] += 1
-        if not r.equal:
+        if lhs != rhs:
             count[1] += 1
-            failures.append(r)
-            bad_corrected += r.variant == CORRECTED
+            failures.append(row)
+            bad_corrected += part.variant == CORRECTED
     bad_printed = len(failures) - bad_corrected
     ok = bad_corrected == 0 and (bad_printed == 0 or expect_typos)
     detail = f"{len(reports)} comparisons, {len(failures)} unequal"
@@ -143,9 +143,10 @@ def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
     if verdict.failures:
         lines.append("failures:")
         shown: dict[str, int] = {}
-        for r in verdict.failures:
-            shown[r.suite] = shown.get(r.suite, 0) + 1
-            if shown[r.suite] <= _TABLE_FAIL_CAP:
+        for part, *row in verdict.failures:
+            shown[part.suite] = shown.get(part.suite, 0) + 1
+            if shown[part.suite] <= _TABLE_FAIL_CAP:
+                r = part.report(*row)
                 lhs, rhs = r.printed()
                 lines.append(f"  {r.suite} [{r.variant}] {_params_text(r.params)}: "
                              f"lhs={lhs} rhs={rhs}")
@@ -157,28 +158,34 @@ def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _params_json(reports: Sequence[IdentityReport]):
-    """(report, json.dumps(report.params, sort_keys=True)) for each report;
-    the text is made once for a run of reports that share one params dict."""
-    params = text = None
-    for r in reports:
-        if r.params is not params:
-            params, text = r.params, json.dumps(r.params, sort_keys=True)
-        yield r, text
+# json.dumps(params, sort_keys=True), without making an encoder per call
+_params_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _printed(reports: Sequence[IdentityReport]):
+    """(suite, variant, params, lhs, rhs, equal) of each report as it prints:
+    params as json.dumps(params, sort_keys=True), made once for the reports
+    of a case that share their params, and lhs and rhs reduced."""
+    make = case = text = None
+    for part, c, lhs, rhs, den in _rows(reports):
+        if c is not case or part.params is not make:
+            make, case = part.params, c
+            text = _params_json(make(case))
+        yield part.suite, part.variant, text, _text(lhs, den), _text(rhs, den), lhs == rhs
 
 
 def render_verify_json(reports: Sequence[IdentityReport], out: TextIO) -> None:
     """Write one JSON line per report to `out`, as each is rendered."""
-    for r, params in _params_json(reports):
-        out.write(r.to_json(params) + "\n")
+    for row in _printed(reports):
+        out.write(_json_line(*row) + "\n")
 
 
 def render_verify_csv(reports: Sequence[IdentityReport], out: TextIO) -> None:
     """Write the CSV header and one row per report to `out`, as each is rendered."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["suite", "variant", "params", "lhs", "rhs", "equal"])
-    for r, params in _params_json(reports):
-        writer.writerow([r.suite, r.variant, params, *r.printed(), str(r.equal).lower()])
+    for *row, equal in _printed(reports):
+        writer.writerow([*row, "true" if equal else "false"])
 
 
 def _cmd_euler(args):

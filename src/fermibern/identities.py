@@ -5,7 +5,8 @@ of a product of Bernstein basis polynomials in terms of Euler numbers.
 Each suite sweeps a parameter range, evaluates the catalog closed form
 with literal index and sign expressions, compares against the oracle (the
 product integrated from its values at 0..T by forward differences, with no
-Euler number), and emits one `IdentityReport` per comparison.
+Euler number), and keeps the two integer sides of each comparison; the
+`IdentityReport` of a comparison is built when it is read.
 
 Catalog ids.  C(a,b) is the binomial coefficient, E_r the r-th Euler
 number, B_{k,n} the Bernstein basis polynomial.  For the product entries
@@ -68,7 +69,11 @@ the integers e_j = 2^j E_j, which a formula sums shifted up to 2^T.  So the
 sides of a case of total degree T are compared as integers over 2^T: the
 oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over the integer weights
 `fermint._weights` reads off I(f(x+1)) + I(f) = 2 f(0) alone, so a wrong
-Euler table cannot shift both sides alike.
+Euler table cannot shift both sides alike.  The sweep keeps those integers
+in two columns per catalog row beside the key of each case, and run_suites
+returns them as a read-only sequence that builds each report when it is
+read; the CLI reads the columns themselves and builds no report for a row
+that passes.
 """
 
 from __future__ import annotations
@@ -76,16 +81,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
-from operator import mul
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from operator import eq, mul
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .bernstein import bernstein_poly
 from .euler import DEFAULT_CACHE, EulerCache
-from .exactnum import Poly, binom
+from .exactnum import Poly, _parsed, binom
 from .fermint import _weights
 
 __all__ = [
@@ -118,13 +124,15 @@ DEFAULT_FULL_M_MAX = 2      # T14, C15 multiplicity
 DEFAULT_EULER_N_MAX = 60
 
 # T14/C15 sweep sum_{n<=n_max} (m_max+1)^(n+1) products; past this many a
-# run is refused up front (n_max = 9, m_max = 2 is 88,572 products and
-# about 6 s and 125 MB on a 2-CPU box; n_max = 10 would be three times that).
+# run is refused up front (`verify T14 --n-max 9`, m_max = 2, is 88,572
+# products and about 4 s and 66 MB on a 2-CPU box, CPython 3.11; n_max = 10
+# would be three times that).
 FULL_PRODUCTS_MAX = 100_000
 # T1..C13 sweep the cases counted by `_products`; past this many a run is
 # refused up front.  Every default range is far below it, and so is T12
-# with s_max = 5 (134,592 cases, about 2 s and 125 MB on a 2-CPU box); each
-# report holds about 1 KB until the run ends.
+# with s_max = 5 (134,592 cases, `verify T12 --s-max 5` about 1.4 s and
+# 61 MB on the same box); a comparison keeps its two integer sides until
+# the run ends, and its report is built only when it is read.
 PRODUCTS_MAX = 150_000
 
 
@@ -214,6 +222,15 @@ def _text(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
+def _json_line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
+               equal: bool) -> str:
+    """The line `json.dumps` gives for a report's six fields with sorted keys,
+    from its printed sides and its params as `json.dumps(params, sort_keys=True)`."""
+    return (f'{{"equal": {"true" if equal else "false"}, '
+            f'"lhs": "{lhs}", "params": {params_json}, "rhs": "{rhs}", '
+            f'"suite": {_quote(suite)}, "variant": {_quote(variant)}}}')
+
+
 @dataclass(slots=True, eq=False)
 class IdentityReport:
     """One closed-form-vs-reference comparison.
@@ -268,22 +285,19 @@ class IdentityReport:
         return (_text(self.lhs_numerator, self.denominator),
                 _text(self.rhs_numerator, self.denominator))
 
-    def to_json(self, params_json: Optional[str] = None) -> str:
-        """The line `json.dumps` gives for the six fields with sorted keys.
-        `params_json`, when given, is `json.dumps(self.params, sort_keys=True)`,
-        made once by a caller for reports that share one params dict."""
-        if params_json is None:
-            params_json = json.dumps(self.params, sort_keys=True)
-        lhs, rhs = self.printed()
-        return (f'{{"equal": {"true" if self.equal else "false"}, '
-                f'"lhs": "{lhs}", "params": {params_json}, "rhs": "{rhs}", '
-                f'"suite": {_quote(self.suite)}, "variant": {_quote(self.variant)}}}')
+    def to_json(self) -> str:
+        """The line `json.dumps` gives for the six fields with sorted keys."""
+        return _json_line(self.suite, self.variant, json.dumps(self.params, sort_keys=True),
+                          *self.printed(), self.equal)
 
     @classmethod
     def from_json(cls, line: str) -> "IdentityReport":
+        """The report of a `to_json` line.  lhs and rhs are read as `Poly` reads
+        a coefficient: exponent notation is refused (ValueError), since
+        "1e1000000" would build a million-digit numerator."""
         d = json.loads(line)
-        report = cls.from_values(d["suite"], d["params"], Fraction(d["lhs"]),
-                                 Fraction(d["rhs"]), d["variant"])
+        report = cls.from_values(d["suite"], d["params"], _parsed(d["lhs"]),
+                                 _parsed(d["rhs"]), d["variant"])
         if report.equal != d["equal"]:
             raise ValueError(f"inconsistent equal flag in {line!r}")
         return report
@@ -346,9 +360,10 @@ _F = {
 
 
 # -- the product families --------------------------------------------------------
-# family(**ranges) yields runs (k, prefix, cases) lazily: the cases of a run
-# are the products prefix + (last,), each given as (last, key tail, params),
-# where a factor (k_i, n_i, m_i) stands for B_{k_i,n_i}^{m_i}; the cases come
+# family(**ranges) returns (runs, params).  The runs (k, prefix, cases) come
+# lazily: the cases of a run are the products prefix + (last,), each given as
+# (last, key tail), where a factor (k_i, n_i, m_i) stands for B_{k_i,n_i}^{m_i},
+# and params(key tail) makes a new params dict of the case; the cases come
 # in the order of `combinations_with_replacement` or `product` over all the
 # factors, so `_sweep` handles a prefix once per run, and evaluates its product
 # only for a run that reaches an oracle row.  Sorted, the key tails order the
@@ -373,7 +388,7 @@ def _products(label, ks, n_range, m_max, counts, params):
     order, one run for each of their first s - 1 pairs, so consecutive runs
     share long prefixes.  Key tail (s, k, n_1..n_{s-1}, n_s, m_1..m_{s-1},
     m_s), which sorts as (s, k, n_i..., m_i...) would; the params of a case
-    are params(k, [n_i...], [m_i...]).
+    are params(k, [n_i...], [m_i...]).  Returns (runs, params of a key tail).
 
     Not a generator: the case count, sum_k sum_s C(width_k + s - 1, s) with
     width_k = len(n_range(k)) m_max, is checked when the family is made.
@@ -391,10 +406,13 @@ def _products(label, ks, n_range, m_max, counts, params):
             for s in counts:
                 for prefix in itertools.combinations_with_replacement(row, s - 1):
                     _, ns, ms = zip(*prefix) if prefix else ((), (), ())
-                    yield k, prefix, [((k, n, m), (s, k, ns, n, ms, m),
-                                       params(k, [*ns, n], [*ms, m]))
+                    yield k, prefix, [((k, n, m), (s, k, ns, n, ms, m))
                                       for _, n, m in (ends[prefix[-1]] if prefix else row)]
-    return runs()
+
+    def params_of(tail):
+        _, k, ns, n, ms, m = tail
+        return params(k, [*ns, n], [*ms, m])
+    return runs(), params_of
 
 
 def _powers(n_max=DEFAULT_EULER_N_MAX, **_):   # EULER: x^n = B_{n,n}, n >= 0
@@ -447,11 +465,11 @@ def _full(n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
     """
     _capped(f"T14/C15 with n_max={n_max}, m_max={m_max}",
             ((m_max + 1) ** (n + 1) for n in range(n_max + 1)), FULL_PRODUCTS_MAX)
-    return ((None, tuple((i, n, m) for i, m in enumerate(head)),
-             [((n, n, m), (n, head, m), {"n": n, "m": [*head, m]})
-              for m in range(m_max + 1)])
-            for n in range(n_max + 1)
-            for head in itertools.product(range(m_max + 1), repeat=n))
+    return (((None, tuple((i, n, m) for i, m in enumerate(head)),
+              [((n, n, m), (n, head, m)) for m in range(m_max + 1)])
+             for n in range(n_max + 1)
+             for head in itertools.product(range(m_max + 1), repeat=n)),
+            lambda tail: {"n": tail[0], "m": [*tail[1], tail[2]]})
 
 
 # -- the catalog -------------------------------------------------------------------
@@ -501,20 +519,33 @@ _CATALOG = (
 SUITE_ORDER = tuple(dict.fromkeys(row.sid for row in _CATALOG))
 
 
-def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
-    """The reports of each suite of `rows` on the cases of one family, in
-    order: total degree, then key tail, then catalog row.  A prefix's share
-    of T, K and the prefactor is made once per run, and so is its value row
-    folded into W_L, L the run's largest T, the first time a case of the run
-    reaches the oracle; the oracle runs at most once per case, none for a
-    zero product.  Per-sweep caches hold each factor's share, each W_L and
-    the literal sides: `side` evaluates a formula once per (k, s, T, K) on
-    `cache.scaled(T)`.  Sides of total degree T compare as integers over 2^T."""
+class _Part(NamedTuple):
+    """What the reports of one catalog row on one sweep share: the suite, the
+    variant and `params`, which makes the params of a case from its key tail."""
+    suite: str
+    variant: str
+    params: Callable[[tuple], dict]
+
+    def report(self, case: tuple, lhs: int, rhs: int, den: int) -> IdentityReport:
+        """The report of the row on a case whose sides are lhs and rhs over den."""
+        return IdentityReport(self.suite, self.params(case), lhs, rhs, den, self.variant)
+
+
+def _sweep(runs, params, rows: list, cache: EulerCache) -> dict[str, tuple]:
+    """The columns of each suite of `rows` on the cases of one family, whose
+    key tails `params` reads: per suite, (cases, parts), the cases (T, key
+    tail) in order, total degree then key tail, and per row of the suite, in
+    catalog order, (part, lhs, rhs), the numerators over 2^T of its two sides
+    on each case, lhs None where its text does not apply (no report).
+    A prefix's share of T, K and the prefactor is made once per run, and so
+    is its value row folded into W_L, L the run's largest T, the first time a
+    case of the run reaches the oracle; the oracle runs at most once per case,
+    none for a zero product.  Per-sweep caches hold each factor's share, each
+    W_L and the literal sides: `side` evaluates a formula once per (k, s, T, K)
+    on `cache.scaled(T)`."""
     values: dict = {}  # each factor's values, see _values
-    keys: list = []  # the sort key of each case
-    columns = [[] for _ in rows]  # per row, the report of each case, or None
-    targets = [(column, row.sid, row.extra, row.edition or CORRECTED)
-               for column, row in zip(columns, rows)]
+    keys: list = []  # the sort key (T, key tail) of each case
+    columns = [([], []) for _ in rows]  # per row, the lhs and the rhs of each case
     factor = lru_cache(maxsize=None)(_factor)
     weights = lru_cache(maxsize=None)(_weights)
     # a formula's value on a case, args = (k, s, T, K); no index it reads exceeds T
@@ -536,36 +567,104 @@ def _sweep(runs, rows: list, cache: EulerCache) -> dict[str, list]:
             T0, K0, c0 = T0 + dT, K0 + dK, c0 * c
         s = len(prefix) + 1
         q, L = None, 0  # the prefix folded into W_L, made for the first oracle row
-        for last, tail, params in cases:
+        for last, tail in cases:
             dT, dK, c = factor(*last)
             T, K = T0 + dT, K0 + dK
             keys.append((T, tail))
-            den, scale = 1 << T, c0 * c
+            scale = c0 * c
             oracle = None
-            for (column, sid, extra, edition), (left, right) in zip(targets,
-                                                                  sides_of((k, s, T, K))):
-                if left is None or right is None:  # the text does not apply to this case
-                    column.append(None)
-                    continue
+            for (lhs, rhs), (left, right) in zip(columns, sides_of((k, s, T, K))):
                 if left is _ORACLE:
                     if oracle is None:
                         oracle = 0  # the value of a zero product, which needs no work
                         if scale:
                             if q is None:
-                                L = T0 + max(factor(*f)[0] for f, _, _ in cases)
+                                L = T0 + max(factor(*f)[0] for f, _ in cases)
                                 q = _folded(weights(L), values, prefix)
                             oracle = _oracle(q, _values(values, last, L), L - T)
                     left, right = oracle, right * scale
-                column.append(IdentityReport(sid, params if extra is None else
-                                             {**params, **extra},
-                                             left, right, den, edition))
+                lhs.append(left)
+                rhs.append(right)
 
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    suites: dict[str, list] = {}
-    for row, column in zip(rows, columns):
-        suites.setdefault(row.sid, []).append(map(column.__getitem__, order))
-    return {sid: list(filter(None, itertools.chain.from_iterable(zip(*in_order))))
-            for sid, in_order in suites.items()}
+    cases = list(map(keys.__getitem__, order))
+    suites: dict[str, tuple] = {}
+    for row, (lhs, rhs) in zip(rows, columns):
+        part = _Part(row.sid, row.edition or CORRECTED, params if row.extra is None else
+                     lambda tail, extra=row.extra: {**params(tail), **extra})
+        suites.setdefault(row.sid, (cases, []))[1].append(
+            (part, list(map(lhs.__getitem__, order)), list(map(rhs.__getitem__, order))))
+    return suites
+
+
+def _count(block: tuple) -> int:
+    """The number of reports in the (cases, parts) of one suite."""
+    return sum(len(lhs) - lhs.count(None) for _, lhs, _ in block[1])
+
+
+class _Reports(Sequence):
+    """The reports of `run_suites`, kept as the integer columns of `_sweep`.
+
+    The blocks are the (cases, parts) of each suite; a block's reports are,
+    case by case, one per part whose lhs has a value there.  Each report, with
+    its params dict and lists, is built when it is read; a read by index walks
+    the rows before it.  Equal to a list of equal reports; `+` gives a list.
+    """
+
+    def __init__(self, blocks: list) -> None:
+        self._blocks = blocks
+        self._len = sum(map(_count, blocks))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _rows(self) -> Iterator[tuple]:
+        """(part, key tail, lhs, rhs, denominator) of each report, in order."""
+        for cases, parts in self._blocks:
+            if len(parts) == 1:  # most suites: zip reads a lone row's columns faster
+                (part, lhs, rhs), = parts
+                for (T, tail), left, right in zip(cases, lhs, rhs):
+                    if left is not None:
+                        yield part, tail, left, right, 1 << T
+                continue
+            for i, (T, tail) in enumerate(cases):
+                den = 1 << T
+                for part, lhs, rhs in parts:
+                    if lhs[i] is not None:
+                        yield part, tail, lhs[i], rhs[i], den
+
+    def __iter__(self) -> Iterator[IdentityReport]:
+        return itertools.starmap(_Part.report, self._rows())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(self._len)[index]  # IndexError past either end
+        return _Part.report(*next(itertools.islice(self._rows(), i, None)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, _Reports)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __add__(self, other: Sequence) -> list:
+        return list(self) + list(other)
+
+
+def _given(params: dict) -> dict:
+    """The params of a report that `_rows` reads off its fields: its case."""
+    return params
+
+
+def _rows(reports: Sequence[IdentityReport]) -> Iterator[tuple]:
+    """(part, case, lhs, rhs, denominator) of each report, in order, where
+    `part.report(case, lhs, rhs, denominator)` is the report: off the columns
+    of a `run_suites` result, which builds no report, or off the fields of each
+    report of any other sequence, whose case is then its params dict."""
+    if isinstance(reports, _Reports):
+        return reports._rows()
+    return ((_Part(r.suite, r.variant, _given), r.params, r.lhs_numerator,
+             r.rhs_numerator, r.denominator) for r in reports)
 
 
 def run_suites(ids: Union[str, Sequence[str]], *,
@@ -574,7 +673,7 @@ def run_suites(ids: Union[str, Sequence[str]], *,
                s_max: Optional[int] = None,
                m_max: Optional[int] = None,
                variant: str = CORRECTED,
-               cache: EulerCache = DEFAULT_CACHE) -> list[IdentityReport]:
+               cache: EulerCache = DEFAULT_CACHE) -> Sequence[IdentityReport]:
     """Run the requested suites and return canonically ordered reports.
 
     ids is a suite id, a nonempty sequence of them, or "ALL".  A range
@@ -584,6 +683,10 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     part I, C15) to evaluate: "corrected" (default), "as-printed", or
     "both"; entries whose circulating text is already correct always
     report variant="corrected".
+
+    The result is a read-only sequence that keeps the compared values as
+    integers and builds each report, with its params, when it is read; it
+    compares equal to a list of the same reports.
 
     Ordering: suites in catalog order, then one sort key per case: total
     degree, then the remaining parameters lexicographically.  The reports
@@ -608,7 +711,7 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     for name, value in ranges.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
-    out: dict[str, list] = {}
+    blocks: dict[str, tuple] = {}
     families: dict[Callable, list] = {}
     for row in _CATALOG:
         if row.sid in wanted and (row.edition is None or row.edition in variants):
@@ -616,12 +719,12 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     # make every family before sweeping any, so that a refused range
     # (PRODUCTS_MAX, FULL_PRODUCTS_MAX) costs nothing
     sweeps = [(family(**ranges), rows) for family, rows in families.items()]
-    for runs, rows in sweeps:
-        out.update(_sweep(runs, rows, cache))
-    empty = [sid for sid in wanted if not out[sid]]
+    for (runs, params), rows in sweeps:
+        blocks.update(_sweep(runs, params, rows, cache))
+    empty = [sid for sid in wanted if not _count(blocks[sid])]
     if empty:
         raise ValueError(f"empty sweep, no rows for {', '.join(empty)}")
-    return [report for sid in wanted for report in out[sid]]
+    return _Reports([blocks[sid] for sid in wanted])
 
 
 def find_counterexample(suite_id: str, variant: str = AS_PRINTED,
@@ -635,5 +738,5 @@ def find_counterexample(suite_id: str, variant: str = AS_PRINTED,
     is the exhaustive all-clear for the swept range.  A range that sweeps
     no rows raises ValueError, as in run_suites.
     """
-    reports = run_suites([suite_id], variant=variant, **ranges)
-    return next((report for report in reports if not report.equal), None)
+    rows = _rows(run_suites([suite_id], variant=variant, **ranges))
+    return next((_Part.report(*row) for row in rows if row[2] != row[3]), None)

@@ -3,14 +3,17 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from fermibern import IdentityReport, cli
+from fermibern import IdentityReport, cli, identities
 from fermibern.cli import _check_printable, main
 
 
@@ -18,6 +21,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _swept(report):
+    """A `run_suites` result, kept as integer columns like a sweep's, that
+    holds `report` alone; its denominator must be a power of two, 2^T."""
+    T = report.denominator.bit_length() - 1
+    assert report.denominator == 1 << T
+    part = identities._Part(report.suite, report.variant, lambda case: dict(report.params))
+    return identities._Reports([([(T, ())], [(part, [report.lhs_numerator],
+                                              [report.rhs_numerator])])])
 
 
 class TestScalarCommands:
@@ -142,19 +155,56 @@ class TestVerify:
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_verdict_is_computed_once(self, fmt, capsys, monkeypatch):
-        # one pass over `equal` feeds the table and the exit code; json and
-        # csv also print the flag, once per row
-        evaluations = []
+        # one pass over the sweep's rows feeds the table and the exit code;
+        # json and csv add one pass to check that every value prints and one
+        # to print them, and none of the passes reads a report's `equal`
+        evaluations, passes = [], []
         equal = IdentityReport.equal
         monkeypatch.setattr(IdentityReport, "equal", property(
             lambda r: evaluations.append(r) or equal.fget(r)))
+        rows_of = identities._Reports._rows
+        monkeypatch.setattr(identities._Reports, "_rows",
+                            lambda reports: passes.append(None) or rows_of(reports))
         code = main(["verify", "C13", "--variant", "both", "--n-max", "3",
                      "--expect-typos", "--deterministic", "--format", fmt])
         rows = len(capsys.readouterr().out.splitlines())
         assert code == 0
-        per_row = 1 if fmt == "table" else 2
-        assert len(evaluations) == per_row * len(set(map(id, evaluations)))
+        assert len(passes) == (1 if fmt == "table" else 3)
+        assert evaluations == []
         assert rows > 3
+
+    def test_verify_builds_no_report_per_row(self, capsys, monkeypatch):
+        # the CLI reads the sweep's integer columns: a clean audit builds no
+        # IdentityReport (76,897 once), and a failing one builds only the
+        # failures its table lists, at most 25 per suite
+        built = []
+        init = IdentityReport.__init__
+        monkeypatch.setattr(IdentityReport, "__init__", lambda self, suite, *args:
+                            built.append(suite) or init(self, suite, *args))
+        code, out = run_cli(capsys, "verify", "ALL", "--deterministic")
+        assert (code, out.splitlines()[-1]) == (0, "result: PASS (76897 comparisons, 0 unequal)")
+        assert built == []
+        code, out = run_cli(capsys, "verify", "ALL", "--variant", "both", "--deterministic")
+        assert (code, out.splitlines()[-1]) == (
+            1, "result: FAIL (87381 comparisons, 10256 unequal)")
+        assert built == re.findall(r"^  (\S+) \[as-printed\] ", out, re.MULTILINE)
+        assert Counter(built) == {"C13": 25, "T14": 25, "C15": 25}
+
+    def test_audit_peak_memory_stays_small(self, capsys):
+        # the audit keeps two integers per comparison, not one report with a
+        # params dict each: 28.0 MiB of traced peak with them, 13.8 without
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            code = main(["verify", "ALL", "--deterministic"])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 0 and "76897 comparisons" in capsys.readouterr().out
+        assert peak < 20 * 2**20
 
     def test_json_format_roundtrips(self, capsys):
         code, out = run_cli(capsys, "verify", "T3", "--n-max", "3",
@@ -370,11 +420,12 @@ class TestPrintLimit:
         widest = 10**640 - 1
         fits = IdentityReport("T1", {"n": 1}, widest << 3000, 0, 1 << 3000)
         past = IdentityReport("T1", {"n": 1}, 0, 10**640 << 7, 1 << 7)
-        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [fits])
+        assert _swept(fits) == [fits] and _swept(past) == [past]
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: _swept(fits))
         code, out = run_cli(capsys, "verify", "T1", "--format", fmt)
         assert code == 1  # the sides differ
         assert str(widest) in out and len(out) < 2 * 640  # not the 1,544 stored digits
-        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [past])
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: _swept(past))
         target = tmp_path / "report"
         for out_args in ([], ["--out", str(target)]):
             with pytest.raises(SystemExit) as info:

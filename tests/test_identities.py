@@ -406,9 +406,10 @@ class TestReports:
             assert list(d) == sorted(d)
 
     def test_line_is_the_json_dumps_line(self):
-        # the f-string template gives the bytes json.dumps gives, also for
-        # suite and variant strings that need escaping
-        reports = run_suites(["EULER", "T1", "T14"], n_max=3, m_max=1, variant="both")
+        # the f-string template gives the bytes json.dumps gives, in
+        # `to_json` and in the CLI's render, also for suite and variant
+        # strings that need escaping
+        reports = list(run_suites(["EULER", "T1", "T14"], n_max=3, m_max=1, variant="both"))
         reports.append(IdentityReport.from_values('T"1\\', {"n": [1, 2], "k": "\u00e9"},
                                                   Fraction(-7, 2), Fraction(3), "\u00e9d\n"))
         # stored over a denominator the values do not need: printed reduced
@@ -420,7 +421,7 @@ class TestReports:
                                    "equal": r.equal, "variant": r.variant},
                                   sort_keys=True)
             assert r.to_json() == expected
-            assert r.to_json(json.dumps(r.params, sort_keys=True)) == expected
+            assert _rendered(render_verify_json, [r]) == expected + "\n"
 
     def test_tampered_equal_flag_rejected(self):
         r = run_suites(["T1"], n_max=2)[0]
@@ -428,6 +429,18 @@ class TestReports:
         d["equal"] = not d["equal"]
         with pytest.raises(ValueError):
             IdentityReport.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("side", ["lhs", "rhs"])
+    def test_exponent_notation_is_refused(self, side):
+        # Fraction("1e1000000") would build a 3.3-million-bit numerator
+        d = {**json.loads(run_suites(["T1"], n_max=2)[0].to_json()), "lhs": "0", "rhs": "0",
+             "equal": False}
+        for text in ("1e1000000", "1E1000000"):
+            d[side] = text
+            with pytest.raises(ValueError, match="exponent"):
+                IdentityReport.from_json(json.dumps(d))
+        d[side] = "2.5"  # a decimal still reads exactly
+        assert getattr(IdentityReport.from_json(json.dumps(d)), side) == Fraction(5, 2)
 
     def test_reports_have_slots_and_round_trip(self):
         reports = run_suites(["T12", "C13"], n_max=3, s_max=2, m_max=2, k_max=1,
@@ -459,6 +472,23 @@ class TestRunSuites:
 
     def test_single_string_id(self):
         assert run_suites("T1", n_max=3) == run_suites(["T1"], n_max=3)
+
+    def test_reports_are_a_sequence_built_on_read(self):
+        # the result keeps integer columns and builds each report, with new
+        # params, when it is read; it reads like the list of its reports
+        reports = run_suites(["EULER", "T14"], n_max=2, m_max=1, variant="both")
+        listed = list(reports)
+        assert len(reports) == len(listed) == 36
+        assert reports == listed and listed == reports and reports != listed[:-1]
+        assert [reports[i] for i in (0, 5, -1, -len(listed))] == [
+            listed[i] for i in (0, 5, -1, -len(listed))]
+        assert reports[3:30:4] == listed[3:30:4]
+        for i in (len(listed), -len(listed) - 1):
+            with pytest.raises(IndexError):
+                reports[i]
+        assert reports[0] is not reports[0] and reports[0].params is not reports[0].params
+        assert reports + reports == listed + listed
+        assert not hasattr(reports, "append")
 
     def test_empty_sweep_names_every_empty_suite(self):
         # a sweep that checks nothing must not return an empty all-clear
@@ -659,10 +689,11 @@ class TestCatalogEngine:
         # 126,500 products of up to 250 factors, under PRODUCTS_MAX, take
         # seconds to list: the family must not list them first
         start = time.perf_counter()
-        k, prefix, cases = next(identities._mult(n_max=1, s_max=250, m_max=1))
+        runs, params = identities._mult(n_max=1, s_max=250, m_max=1)
+        k, prefix, cases = next(runs)
         assert time.perf_counter() - start < 1.0
-        assert (k, prefix, cases[0]) == (
-            0, (), ((0, 0, 1), (1, 0, (), 0, (), 1), {"k": 0, "s": 1, "n": [0], "m": [1]}))
+        assert (k, prefix, cases[0]) == (0, (), ((0, 0, 1), (1, 0, (), 0, (), 1)))
+        assert params(cases[0][1]) == {"k": 0, "s": 1, "n": [0], "m": [1]}
 
     @pytest.mark.parametrize("family, ranges", [
         ("_mult", dict(n_max=3, k_max=2, s_max=3, m_max=2)),
@@ -672,9 +703,10 @@ class TestCatalogEngine:
         # the runs, flattened, are the products combinations_with_replacement
         # (or product, for T14/C15) lists, in its order, and their key tails
         # sort them as the tuples (s, k, n_i..., m_i...) or (n, m_i...) would
-        cases = [(k, prefix + (last,), tail, params)
-                 for k, prefix, run in getattr(identities, family)(**ranges)
-                 for last, tail, params in run]
+        runs, params_of = getattr(identities, family)(**ranges)
+        cases = [(k, prefix + (last,), tail, params_of(tail))
+                 for k, prefix, run in runs
+                 for last, tail in run]
         if family == "_full":
             want = [tuple((i, n, m) for i, m in enumerate(ms))
                     for n in range(ranges["n_max"] + 1)
@@ -692,6 +724,11 @@ class TestCatalogEngine:
         assert [f for _, f, _, _ in cases] == want
         by_tail = sorted(range(len(cases)), key=lambda i: cases[i][2])
         assert by_tail == sorted(range(len(cases)), key=flat.__getitem__)
+        for k, f, _, params in cases:  # each case's params, made from its key tail
+            ns, ms = [n for _, n, _ in f], [m for _, _, m in f]
+            assert params == ({"n": f[0][1], "m": ms} if family == "_full" else
+                              {"k": k, "s": len(f), "n": ns,
+                               **({"m": ms} if family == "_mult" else {})})
         assert len({id(params) for _, _, _, params in cases}) == len(cases)
 
     @pytest.mark.parametrize("name, s", _T_FORMS)
@@ -752,13 +789,13 @@ class TestCatalogEngine:
 
         def marked(family):
             def runs(**ranges):
-                made = family(**ranges)  # refuses a range when made, as before
+                made, params = family(**ranges)  # refuses a range when made, as before
 
                 def walk():
                     for run in made:
                         family_now[0] = family
                         yield run
-                return walk()
+                return walk(), params
             return runs
 
         formulas = {f: counted(f) for f in identities._F.values()}
