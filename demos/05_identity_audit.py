@@ -18,8 +18,10 @@ print("identity audit, corrected forms")
 print("=" * 45)
 
 reports = run_suites("ALL", n_max=8, s_max=3, m_max=2, k_max=2)
-counts = Counter(r.suite for r in reports)
-fails = Counter(r.suite for r in reports if not r.equal)
+counts, fails = Counter(), Counter()
+for r in reports:  # each report is built as it is read, so read each once
+    counts[r.suite] += 1
+    fails[r.suite] += not r.equal
 print(f"\n{'suite':<7}{'checks':>8}{'fail':>6}")
 for sid in SUITE_ORDER:
     print(f"{sid:<7}{counts[sid]:>8}{fails[sid]:>6}")

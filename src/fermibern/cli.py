@@ -28,6 +28,7 @@ import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
@@ -35,8 +36,7 @@ from .bernstein import bernstein_poly
 from .euler import euler_number, euler_poly
 from .exactnum import Poly
 from .fermint import convergence_trace, integrate, partial_sum
-from .identities import (AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER, IdentityReport,
-                         _json_line, _rows, _text, run_suites)
+from .identities import AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER, IdentityReport, run_suites
 
 __all__ = ["main", "build_parser"]
 
@@ -65,29 +65,41 @@ def _writes(text: str) -> Callable[[TextIO], None]:
     return lambda out: (out.write(text[:-1]), out.write(text[-1:]))
 
 
-def _too_long(num: int, den: int) -> bool:
-    """Whether num/den, den > 0, printed in lowest terms would pass the
-    int-to-str limit (sys.set_int_max_str_digits), which refuses a value of
-    more than `limit` digits, that is |v| >= 10^limit.  The fraction is
-    reduced only when num or den is past the limit."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+def _text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _digit_limit() -> int:
+    """The int-to-str limit (sys.set_int_max_str_digits); 0 means none."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+def _too_long(num: int, den: int, limit: int) -> bool:
+    """Whether num/den, den > 0, printed in lowest terms would pass `limit`,
+    the int-to-str limit (see `_digit_limit`), which refuses a value of more
+    than `limit` digits, that is |v| >= 10^limit.  The fraction is reduced
+    only when num or den is past the limit."""
     if not limit or max(num.bit_length(), den.bit_length()) <= limit * 3321928 // 1000000:
         return False  # 2^(limit * 3321928 // 1000000) <= 10^limit
     g = gcd(num, den)
     return any(abs(v) >= 10 ** limit for v in (num // g, den // g))
 
 
-def _limit_error(where: str) -> ValueError:
-    return ValueError(f"{where}: a value has more than {sys.get_int_max_str_digits()} "
-                      f"digits, the int-to-str limit (sys.set_int_max_str_digits)")
+def _limit_error(where: str, limit: int) -> ValueError:
+    return ValueError(f"{where}: a value has more than {limit} digits, "
+                      f"the int-to-str limit (sys.set_int_max_str_digits)")
 
 
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
     """Raise ValueError, before any output, if the printed (reduced) lhs or
-    rhs of a report would pass the int-to-str limit (see `_too_long`)."""
-    for part, case, lhs, rhs, den in _rows(reports):
-        if _too_long(lhs, den) or _too_long(rhs, den):
-            raise _limit_error(f"{part.suite} {_params_text(part.params(case))}")
+    rhs of a `run_suites` result would pass the int-to-str limit (see
+    `_too_long`), which is read once for the whole pass."""
+    limit = _digit_limit()
+    for part, case, lhs, rhs, den in reports._rows():
+        if _too_long(lhs, den, limit) or _too_long(rhs, den, limit):
+            raise _limit_error(f"{part.suite} {_params_text(part.params(case))}", limit)
 
 
 def _params_text(params: dict) -> str:
@@ -103,16 +115,17 @@ class _Verdict(NamedTuple):
     ok: bool
     line: str                    # the `result:` line
     counts: dict                 # suite -> [checks, failures]
-    failures: list               # the unequal rows (see identities._rows), in order
+    failures: list               # the unequal rows of `run_suites`, in order
 
 
 def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> _Verdict:
     """Whether the run passes and the `result:` line that says so, with the
-    per-suite counts and the failures the table lists, in one pass."""
+    per-suite counts and the failures the table lists, in one pass over the
+    rows of a `run_suites` result."""
     counts: dict[str, list[int]] = {}
     failures = []
     bad_corrected = 0
-    for row in _rows(reports):
+    for row in reports._rows():
         part, _, lhs, rhs, _ = row
         count = counts.setdefault(part.suite, [0, 0])
         count[0] += 1
@@ -143,13 +156,12 @@ def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
     if verdict.failures:
         lines.append("failures:")
         shown: dict[str, int] = {}
-        for part, *row in verdict.failures:
+        for part, case, lhs, rhs, den in verdict.failures:
             shown[part.suite] = shown.get(part.suite, 0) + 1
             if shown[part.suite] <= _TABLE_FAIL_CAP:
-                r = part.report(*row)
-                lhs, rhs = r.printed()
-                lines.append(f"  {r.suite} [{r.variant}] {_params_text(r.params)}: "
-                             f"lhs={lhs} rhs={rhs}")
+                lines.append(f"  {part.suite} [{part.variant}] "
+                             f"{_params_text(part.params(case))}: "
+                             f"lhs={_text(lhs, den)} rhs={_text(rhs, den)}")
         for sid, count in shown.items():
             if count > _TABLE_FAIL_CAP:
                 lines.append(f"  ... and {count - _TABLE_FAIL_CAP} more failures "
@@ -162,12 +174,22 @@ def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
 _params_json = json.JSONEncoder(sort_keys=True).encode
 
 
+def _json_line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
+               equal: bool) -> str:
+    """The line `IdentityReport.to_json` (json.dumps with sorted keys) gives
+    for a report's six fields, from its printed sides and its params as
+    `json.dumps(params, sort_keys=True)`."""
+    return (f'{{"equal": {"true" if equal else "false"}, '
+            f'"lhs": "{lhs}", "params": {params_json}, "rhs": "{rhs}", '
+            f'"suite": {_quote(suite)}, "variant": {_quote(variant)}}}')
+
+
 def _printed(reports: Sequence[IdentityReport]):
     """(suite, variant, params, lhs, rhs, equal) of each report as it prints:
     params as json.dumps(params, sort_keys=True), made once for the reports
     of a case that share their params, and lhs and rhs reduced."""
     make = case = text = None
-    for part, c, lhs, rhs, den in _rows(reports):
+    for part, c, lhs, rhs, den in reports._rows():
         if c is not case or part.params is not make:
             make, case = part.params, c
             text = _params_json(make(case))
@@ -210,9 +232,9 @@ def _cmd_padic_trace(args):
     # longest: a trace that cannot print is refused before any row is made
     # (a longer middle row, which a polynomial with huge coefficients could
     # give, still fails its str() below, before any output)
-    last = partial_sum(f, args.p, args.n_max)
-    if _too_long(last.numerator, last.denominator):
-        raise _limit_error(f"S_{args.n_max}")
+    last, limit = partial_sum(f, args.p, args.n_max), _digit_limit()
+    if _too_long(last.numerator, last.denominator, limit):
+        raise _limit_error(f"S_{args.n_max}", limit)
     trace = convergence_trace(f, args.p, args.n_max)
     if args.format == "csv":
         return 0, _writes(trace.to_csv())

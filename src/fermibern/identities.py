@@ -71,9 +71,9 @@ oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over the integer weights
 `fermint._weights` reads off I(f(x+1)) + I(f) = 2 f(0) alone, so a wrong
 Euler table cannot shift both sides alike.  The sweep keeps those integers
 in two columns per catalog row beside the key of each case, and run_suites
-returns them as a read-only sequence that builds each report when it is
-read; the CLI reads the columns themselves and builds no report for a row
-that passes.
+returns them as a read-only sequence that builds each report, with its two
+sides as Fractions, when it is read.  Its `_rows` is the one reader of the
+columns: the CLI prints the integers it yields and builds no report.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from operator import eq, mul
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -216,89 +215,43 @@ def oracle_integral(spec: ProductSpec) -> Fraction:
     return Fraction(sum(_folded(_weights(T), {}, spec.factors)), 1 << T)
 
 
-def _text(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
-    g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
-def _json_line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
-               equal: bool) -> str:
-    """The line `json.dumps` gives for a report's six fields with sorted keys,
-    from its printed sides and its params as `json.dumps(params, sort_keys=True)`."""
-    return (f'{{"equal": {"true" if equal else "false"}, '
-            f'"lhs": "{lhs}", "params": {params_json}, "rhs": "{rhs}", '
-            f'"suite": {_quote(suite)}, "variant": {_quote(variant)}}}')
-
-
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True)
 class IdentityReport:
     """One closed-form-vs-reference comparison.
 
-    The two sides are integer numerators over one positive denominator, as
-    in `Poly`; a sweep of total degree T stores them over 2^T.  `lhs` and
-    `rhs` are Fractions built on read.  `equal` is derived, always
-    lhs == rhs exactly (no tolerance anywhere), and two reports are equal
-    when their fields and values are, whatever their denominators.
+    `equal` is derived, always lhs == rhs exactly (no tolerance anywhere).
     Serializes to a single JSON object with rationals rendered "num/den"
     in lowest terms.
     """
 
     suite: str
     params: dict
-    lhs_numerator: int
-    rhs_numerator: int
-    denominator: int
+    lhs: Fraction
+    rhs: Fraction
     variant: str = CORRECTED
-
-    @classmethod
-    def from_values(cls, suite: str, params: dict, lhs: Union[int, Fraction],
-                    rhs: Union[int, Fraction], variant: str = CORRECTED) -> "IdentityReport":
-        """The report of two rationals, over their least common denominator."""
-        den = math.lcm(lhs.denominator, rhs.denominator)
-        return cls(suite, params, lhs.numerator * (den // lhs.denominator),
-                   rhs.numerator * (den // rhs.denominator), den, variant)
-
-    @property
-    def lhs(self) -> Fraction:
-        return Fraction(self.lhs_numerator, self.denominator)
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(self.rhs_numerator, self.denominator)
 
     @property
     def equal(self) -> bool:
-        return self.lhs_numerator == self.rhs_numerator
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IdentityReport):
-            return NotImplemented
-        d, od = self.denominator, other.denominator
-        return ((self.suite, self.params, self.variant)
-                == (other.suite, other.params, other.variant)
-                and self.lhs_numerator * od == other.lhs_numerator * d
-                and self.rhs_numerator * od == other.rhs_numerator * d)
-
-    def printed(self) -> tuple[str, str]:
-        """lhs and rhs as str(Fraction) prints them."""
-        return (_text(self.lhs_numerator, self.denominator),
-                _text(self.rhs_numerator, self.denominator))
+        return self.lhs == self.rhs
 
     def to_json(self) -> str:
-        """The line `json.dumps` gives for the six fields with sorted keys."""
-        return _json_line(self.suite, self.variant, json.dumps(self.params, sort_keys=True),
-                          *self.printed(), self.equal)
+        """The six fields, `equal` included, as one `json.dumps` line with sorted keys."""
+        return json.dumps({"suite": self.suite, "params": self.params, "lhs": str(self.lhs),
+                           "rhs": str(self.rhs), "equal": self.equal, "variant": self.variant},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "IdentityReport":
-        """The report of a `to_json` line.  lhs and rhs are read as `Poly` reads
-        a coefficient: exponent notation is refused (ValueError), since
-        "1e1000000" would build a million-digit numerator."""
+        """The report of a `to_json` line.  lhs and rhs must be JSON strings,
+        read as `Poly` reads a coefficient: exponent notation is refused,
+        since "1e1000000" would build a million-digit numerator; equal must
+        be a JSON bool that agrees with them.  ValueError otherwise."""
         d = json.loads(line)
-        report = cls.from_values(d["suite"], d["params"], _parsed(d["lhs"]),
-                                 _parsed(d["rhs"]), d["variant"])
-        if report.equal != d["equal"]:
+        lhs, rhs, equal = d["lhs"], d["rhs"], d["equal"]
+        if not (isinstance(lhs, str) and isinstance(rhs, str) and isinstance(equal, bool)):
+            raise ValueError(f"lhs and rhs must be strings and equal a bool in {line!r}")
+        report = cls(d["suite"], d["params"], _parsed(lhs), _parsed(rhs), d["variant"])
+        if report.equal != equal:
             raise ValueError(f"inconsistent equal flag in {line!r}")
         return report
 
@@ -528,7 +481,8 @@ class _Part(NamedTuple):
 
     def report(self, case: tuple, lhs: int, rhs: int, den: int) -> IdentityReport:
         """The report of the row on a case whose sides are lhs and rhs over den."""
-        return IdentityReport(self.suite, self.params(case), lhs, rhs, den, self.variant)
+        return IdentityReport(self.suite, self.params(case), Fraction(lhs, den),
+                              Fraction(rhs, den), self.variant)
 
 
 def _sweep(runs, params, rows: list, cache: EulerCache) -> dict[str, tuple]:
@@ -619,7 +573,9 @@ class _Reports(Sequence):
         return self._len
 
     def _rows(self) -> Iterator[tuple]:
-        """(part, key tail, lhs, rhs, denominator) of each report, in order."""
+        """(part, key tail, lhs, rhs, denominator) of each report, in order, the
+        sides as integers over the denominator: `part.report(*row)` is the
+        report, and a reader that needs no report (the CLI) builds none."""
         for cases, parts in self._blocks:
             if len(parts) == 1:  # most suites: zip reads a lone row's columns faster
                 (part, lhs, rhs), = parts
@@ -649,22 +605,6 @@ class _Reports(Sequence):
 
     def __add__(self, other: Sequence) -> list:
         return list(self) + list(other)
-
-
-def _given(params: dict) -> dict:
-    """The params of a report that `_rows` reads off its fields: its case."""
-    return params
-
-
-def _rows(reports: Sequence[IdentityReport]) -> Iterator[tuple]:
-    """(part, case, lhs, rhs, denominator) of each report, in order, where
-    `part.report(case, lhs, rhs, denominator)` is the report: off the columns
-    of a `run_suites` result, which builds no report, or off the fields of each
-    report of any other sequence, whose case is then its params dict."""
-    if isinstance(reports, _Reports):
-        return reports._rows()
-    return ((_Part(r.suite, r.variant, _given), r.params, r.lhs_numerator,
-             r.rhs_numerator, r.denominator) for r in reports)
 
 
 def run_suites(ids: Union[str, Sequence[str]], *,
@@ -738,5 +678,5 @@ def find_counterexample(suite_id: str, variant: str = AS_PRINTED,
     is the exhaustive all-clear for the swept range.  A range that sweeps
     no rows raises ValueError, as in run_suites.
     """
-    rows = _rows(run_suites([suite_id], variant=variant, **ranges))
+    rows = run_suites([suite_id], variant=variant, **ranges)._rows()
     return next((_Part.report(*row) for row in rows if row[2] != row[3]), None)

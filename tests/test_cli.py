@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from fermibern import IdentityReport, cli, identities
-from fermibern.cli import _check_printable, main
+from fermibern import CORRECTED, IdentityReport, cli, identities
+from fermibern.cli import _too_long, main
 
 
 def run_cli(capsys, *argv):
@@ -23,14 +23,12 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
-def _swept(report):
+def _swept(suite, variant, params, lhs, rhs, T):
     """A `run_suites` result, kept as integer columns like a sweep's, that
-    holds `report` alone; its denominator must be a power of two, 2^T."""
-    T = report.denominator.bit_length() - 1
-    assert report.denominator == 1 << T
-    part = identities._Part(report.suite, report.variant, lambda case: dict(report.params))
-    return identities._Reports([([(T, ())], [(part, [report.lhs_numerator],
-                                              [report.rhs_numerator])])])
+    holds one report: the numerators lhs and rhs over 2^T, as given, so they
+    may be far from lowest terms."""
+    part = identities._Part(suite, variant, lambda case: dict(params))
+    return identities._Reports([([(T, ())], [(part, [lhs], [rhs])])])
 
 
 class TestScalarCommands:
@@ -174,9 +172,9 @@ class TestVerify:
         assert rows > 3
 
     def test_verify_builds_no_report_per_row(self, capsys, monkeypatch):
-        # the CLI reads the sweep's integer columns: a clean audit builds no
-        # IdentityReport (76,897 once), and a failing one builds only the
-        # failures its table lists, at most 25 per suite
+        # the CLI reads the sweep's integer columns: an audit builds no
+        # IdentityReport (76,897 once), clean or failing, and the table
+        # prints its failures, at most 25 per suite, straight from the rows
         built = []
         init = IdentityReport.__init__
         monkeypatch.setattr(IdentityReport, "__init__", lambda self, suite, *args:
@@ -187,8 +185,9 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "ALL", "--variant", "both", "--deterministic")
         assert (code, out.splitlines()[-1]) == (
             1, "result: FAIL (87381 comparisons, 10256 unequal)")
-        assert built == re.findall(r"^  (\S+) \[as-printed\] ", out, re.MULTILINE)
-        assert Counter(built) == {"C13": 25, "T14": 25, "C15": 25}
+        assert built == []
+        listed = re.findall(r"^  (\S+) \[as-printed\] ", out, re.MULTILINE)
+        assert Counter(listed) == {"C13": 25, "T14": 25, "C15": 25}
 
     def test_audit_peak_memory_stays_small(self, capsys):
         # the audit keeps two integers per comparison, not one report with a
@@ -400,15 +399,15 @@ class TestPrintLimit:
     def test_check_is_exact_at_the_limit(self, limit_640):
         # str() refuses a value of more than 640 digits, |v| >= 10^640, and
         # prints every smaller one, numerator or denominator, either sign
-        def report(value):
-            return IdentityReport.from_values("T1", {"n": 1}, Fraction(value), Fraction(0))
+        def too_long(value):
+            value = Fraction(value)
+            return _too_long(value.numerator, value.denominator, cli._digit_limit())
         widest = 10**640 - 1
         for value in (widest, -widest, Fraction(1, widest), Fraction(-widest, 7)):
-            _check_printable([report(value)])
+            assert not too_long(value)
             str(Fraction(value))
         for value in (10**640, -10**640, Fraction(1, 10**640), Fraction(2**2200, 3)):
-            with pytest.raises(ValueError, match="640 digits"):
-                _check_printable([report(value)])
+            assert too_long(value)
             with pytest.raises(ValueError):
                 str(Fraction(value))
 
@@ -418,14 +417,15 @@ class TestPrintLimit:
         # a sweep stores both sides over 2^T, so a stored numerator can be
         # far longer than the reduced one that is printed
         widest = 10**640 - 1
-        fits = IdentityReport("T1", {"n": 1}, widest << 3000, 0, 1 << 3000)
-        past = IdentityReport("T1", {"n": 1}, 0, 10**640 << 7, 1 << 7)
-        assert _swept(fits) == [fits] and _swept(past) == [past]
-        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: _swept(fits))
+        fits = _swept("T1", CORRECTED, {"n": 1}, widest << 3000, 0, 3000)
+        past = _swept("T1", CORRECTED, {"n": 1}, 0, 10**640 << 7, 7)
+        assert fits == [IdentityReport("T1", {"n": 1}, Fraction(widest), Fraction(0))]
+        assert past == [IdentityReport("T1", {"n": 1}, Fraction(0), Fraction(10**640))]
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: fits)
         code, out = run_cli(capsys, "verify", "T1", "--format", fmt)
         assert code == 1  # the sides differ
         assert str(widest) in out and len(out) < 2 * 640  # not the 1,544 stored digits
-        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: _swept(past))
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: past)
         target = tmp_path / "report"
         for out_args in ([], ["--out", str(target)]):
             with pytest.raises(SystemExit) as info:

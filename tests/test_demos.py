@@ -1,7 +1,6 @@
-"""Smoke test: the quick demos run to completion and report no FAIL.
+"""Smoke test: every demo runs to completion and reports no FAIL.
 
-Demo 05 is left out: it takes many seconds and repeats the full-audit
-acceptance check.
+Demo 05, the identity audit, is the slowest, at about 2-3 s.
 """
 
 import os
@@ -19,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "02_bernstein_basis.py",
     "03_fermionic_moments.py",
     "04_padic_convergence.py",
+    "05_identity_audit.py",
 ])
 def test_demo_runs_clean(demo):
     env = dict(os.environ)

@@ -34,6 +34,7 @@ from fermibern import (
 )
 
 from oracles import FRACTION_FORMULAS, bernstein_product_integral, euler_numbers_by_series
+from test_cli import _swept
 
 
 PROBES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]
@@ -406,22 +407,23 @@ class TestReports:
             assert list(d) == sorted(d)
 
     def test_line_is_the_json_dumps_line(self):
-        # the f-string template gives the bytes json.dumps gives, in
-        # `to_json` and in the CLI's render, also for suite and variant
-        # strings that need escaping
-        reports = list(run_suites(["EULER", "T1", "T14"], n_max=3, m_max=1, variant="both"))
-        reports.append(IdentityReport.from_values('T"1\\', {"n": [1, 2], "k": "\u00e9"},
-                                                  Fraction(-7, 2), Fraction(3), "\u00e9d\n"))
-        # stored over a denominator the values do not need: printed reduced
-        reports.append(IdentityReport("T1", {"n": 2}, -12, 6, 8))
-        reports.append(IdentityReport("T1", {"n": 3}, 16, 0, 16))
-        for r in reports:
-            expected = json.dumps({"suite": r.suite, "params": r.params,
-                                   "lhs": str(r.lhs), "rhs": str(r.rhs),
-                                   "equal": r.equal, "variant": r.variant},
-                                  sort_keys=True)
-            assert r.to_json() == expected
-            assert _rendered(render_verify_json, [r]) == expected + "\n"
+        # the CLI's f-string template gives the bytes json.dumps gives for
+        # each report read off the same rows, which is `to_json`, also for
+        # suite and variant strings that need escaping
+        for reports in (run_suites(["EULER", "T1", "T14"], n_max=3, m_max=1, variant="both"),
+                        _swept('T"1\\', "\u00e9d\n", {"n": [1, 2], "k": "\u00e9"}, -7, 6, 1),
+                        # stored over a denominator the values do not need: printed reduced
+                        _swept("T1", CORRECTED, {"n": 2}, -12, 6, 3),
+                        _swept("T1", CORRECTED, {"n": 3}, 16, 0, 4)):
+            lines = []
+            for r in reports:
+                expected = json.dumps({"suite": r.suite, "params": r.params,
+                                       "lhs": str(r.lhs), "rhs": str(r.rhs),
+                                       "equal": r.equal, "variant": r.variant},
+                                      sort_keys=True)
+                assert r.to_json() == expected
+                lines.append(expected + "\n")
+            assert _rendered(render_verify_json, reports) == "".join(lines)
 
     def test_tampered_equal_flag_rejected(self):
         r = run_suites(["T1"], n_max=2)[0]
@@ -442,6 +444,22 @@ class TestReports:
         d[side] = "2.5"  # a decimal still reads exactly
         assert getattr(IdentityReport.from_json(json.dumps(d)), side) == Fraction(5, 2)
 
+    @pytest.mark.parametrize("lhs, rhs, equal", [
+        ("true", '"1"', "true"),           # once read as 1
+        ("0.1", '"1/10"', "false"),        # once read as a binary float
+        ('"1"', "1e400", "false"),         # once OverflowError
+        ("[1]", '"1"', "false"),           # once TypeError
+        ('"1"', "null", "false"),          # once TypeError
+        ('"1"', '"1"', "1"),               # once read as true
+        ('"1"', '"2"', "0"),               # once read as false
+    ], ids=["lhs-bool", "lhs-float", "rhs-inf", "lhs-list", "rhs-null", "equal-1", "equal-0"])
+    def test_from_json_refuses_bad_types(self, lhs, rhs, equal):
+        # lhs and rhs must be JSON strings and equal a JSON bool
+        line = (f'{{"equal": {equal}, "lhs": {lhs}, "params": {{"n": 1}}, "rhs": {rhs}, '
+                f'"suite": "T1", "variant": "corrected"}}')
+        with pytest.raises(ValueError):
+            IdentityReport.from_json(line)
+
     def test_reports_have_slots_and_round_trip(self):
         reports = run_suites(["T12", "C13"], n_max=3, s_max=2, m_max=2, k_max=1,
                              variant="both")
@@ -450,19 +468,22 @@ class TestReports:
             assert IdentityReport.from_json(r.to_json()) == r
 
     def test_equal_is_derived(self):
-        r = IdentityReport.from_values("T1", {"n": 1}, Fraction(3, 2), Fraction(3, 2))
+        r = IdentityReport("T1", {"n": 1}, Fraction(3, 2), Fraction(3, 2))
         assert r.equal
-        r.rhs_numerator = 0
+        r.rhs = Fraction(0)
         assert not r.equal
 
     def test_reports_compare_values_not_denominators(self):
-        r = IdentityReport.from_values("T1", {"n": 1}, Fraction(3, 2), Fraction(-1, 4))
-        assert (r.lhs_numerator, r.rhs_numerator, r.denominator) == (6, -1, 4)
-        assert (r.lhs, r.rhs) == (Fraction(3, 2), Fraction(-1, 4))
-        assert r == IdentityReport("T1", {"n": 1}, 3 << 10, -1 << 9, 1 << 11)
-        assert r != IdentityReport("T1", {"n": 1}, 6, -1, 8)
-        assert r != IdentityReport("T1", {"n": 2}, 6, -1, 4)
-        assert r != IdentityReport("T1", {"n": 1}, 6, -1, 4, AS_PRINTED)
+        # a report read off a sweep's rows, stored over 2^11, equals the one
+        # made of the same values in lowest terms
+        r = IdentityReport("T1", {"n": 1}, Fraction(3, 2), Fraction(-1, 4))
+        read = identities._Part("T1", CORRECTED, lambda case: {"n": 1}).report(
+            (), 3 << 10, -1 << 9, 1 << 11)
+        assert (read.lhs, read.rhs) == (Fraction(3, 2), Fraction(-1, 4))
+        assert r == read == _swept("T1", CORRECTED, {"n": 1}, 3 << 10, -1 << 9, 11)[0]
+        assert r != IdentityReport("T1", {"n": 1}, Fraction(6, 8), Fraction(-1, 8))
+        assert r != IdentityReport("T1", {"n": 2}, Fraction(6, 4), Fraction(-1, 4))
+        assert r != IdentityReport("T1", {"n": 1}, Fraction(6, 4), Fraction(-1, 4), AS_PRINTED)
 
 
 class TestRunSuites:
@@ -670,7 +691,7 @@ class TestCatalogEngine:
         assert _sha256(_rendered(render_verify_csv, reports)) == CSV_SHA256
         assert _sha256(render_verify_table(_verdict(reports, True), True)) == (
             "7cf090d2752db93d886d1660ab562e1e9ca59e37bac1b69ad28e0b961a5a0276")
-        corrected = [r for r in reports if r.variant == CORRECTED]
+        corrected = run_suites("ALL")
         assert _sha256(render_verify_table(_verdict(corrected, False), True)) == (
             "bc209a5775cc0907fb777fc6a66ee97da6da39d1d5c1f742e36797552166571b")
 
@@ -757,7 +778,8 @@ class TestCatalogEngine:
 
     def test_sweep_builds_few_fractions(self, monkeypatch):
         # the sides are compared and stored as integer numerators, EULER's
-        # too: the sweep once built 89,468 Fractions, and now builds none
+        # too: the sweep once built 89,468 Fractions, and now builds none,
+        # nor does a pass over its rows (only a report read makes two)
         built = []
         new = Fraction.__new__
 
@@ -767,7 +789,8 @@ class TestCatalogEngine:
 
         monkeypatch.setattr(Fraction, "__new__", counted)
         reports = run_suites("ALL")
-        assert len(reports) == 76_897 and all(r.equal for r in reports)
+        assert len(reports) == 76_897
+        assert all(lhs == rhs for _, _, lhs, rhs, _ in reports._rows())
         assert built == []
         Fraction(1, 3)  # the patch does count what is built
         assert len(built) == 1
