@@ -111,52 +111,47 @@ _TABLE_FAIL_CAP = 25
 
 
 class _Verdict(NamedTuple):
-    """One pass over the reports: what the table and the exit code need."""
+    """What the table and the exit code need of a run."""
     ok: bool
     line: str                    # the `result:` line
     counts: dict                 # suite -> [checks, failures]
-    failures: list               # the unequal rows of `run_suites`, in order
 
 
 def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> _Verdict:
     """Whether the run passes and the `result:` line that says so, with the
-    per-suite counts and the failures the table lists, in one pass over the
-    rows of a `run_suites` result."""
+    per-suite counts, read off the per-part tally of a `run_suites` result
+    without walking its rows."""
     counts: dict[str, list[int]] = {}
-    failures = []
-    bad_corrected = 0
-    for row in reports._rows():
-        part, _, lhs, rhs, _ = row
+    bad = {CORRECTED: 0, AS_PRINTED: 0}
+    for part, checks, fails in reports.tally:
         count = counts.setdefault(part.suite, [0, 0])
-        count[0] += 1
-        if lhs != rhs:
-            count[1] += 1
-            failures.append(row)
-            bad_corrected += part.variant == CORRECTED
-    bad_printed = len(failures) - bad_corrected
-    ok = bad_corrected == 0 and (bad_printed == 0 or expect_typos)
-    detail = f"{len(reports)} comparisons, {len(failures)} unequal"
-    if bad_printed and expect_typos and not bad_corrected:
+        count[0] += checks
+        count[1] += fails
+        bad[part.variant] += fails
+    ok = not bad[CORRECTED] and (not bad[AS_PRINTED] or expect_typos)
+    detail = f"{len(reports)} comparisons, {sum(bad.values())} unequal"
+    if bad[AS_PRINTED] and expect_typos and not bad[CORRECTED]:
         detail += " (all in as-printed variants, expected)"
-    return _Verdict(ok, f"result: {'PASS' if ok else 'FAIL'} ({detail})", counts, failures)
+    return _Verdict(ok, f"result: {'PASS' if ok else 'FAIL'} ({detail})", counts)
 
 
-def render_verify_table(verdict: _Verdict, deterministic: bool) -> str:
-    """The table of a run whose reports gave `verdict` (see `_verdict`)."""
+def render_verify_table(reports: Sequence[IdentityReport], verdict: _Verdict,
+                        deterministic: bool) -> str:
+    """The table of a `run_suites` result whose tally gave `verdict` (see
+    `_verdict`); it walks the rows only to list failures, when there are some."""
     lines = []
     if not deterministic:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines.append(f"generated: {stamp}")
     lines.append(f"{'suite':<6} {'checks':>7} {'pass':>7} {'fail':>6}")
-    for sid in SUITE_ORDER:
-        if sid not in verdict.counts:
-            continue
-        checks, fails = verdict.counts[sid]
+    for sid, (checks, fails) in verdict.counts.items():  # in catalog order
         lines.append(f"{sid:<6} {checks:>7} {checks - fails:>7} {fails:>6}")
-    if verdict.failures:
+    if any(fails for _, fails in verdict.counts.values()):
         lines.append("failures:")
         shown: dict[str, int] = {}
-        for part, case, lhs, rhs, den in verdict.failures:
+        for part, case, lhs, rhs, den in reports._rows():
+            if lhs == rhs:
+                continue
             shown[part.suite] = shown.get(part.suite, 0) + 1
             if shown[part.suite] <= _TABLE_FAIL_CAP:
                 lines.append(f"  {part.suite} [{part.variant}] "
@@ -249,7 +244,7 @@ def _cmd_verify(args):
     verdict = _verdict(reports, args.expect_typos)
     code = 0 if verdict.ok else 1
     if args.format == "table":
-        return code, _writes(render_verify_table(verdict, args.deterministic))
+        return code, _writes(render_verify_table(reports, verdict, args.deterministic))
     _check_printable(reports)  # streamed, so every value is checked before the first byte
     render = render_verify_json if args.format == "json" else render_verify_csv
     return code, lambda out: render(reports, out)

@@ -72,8 +72,10 @@ oracle gives 2^T I(f) = sum_{i<=T} f(i) W_{T,i} over the integer weights
 Euler table cannot shift both sides alike.  The sweep keeps those integers
 in two columns per catalog row beside the key of each case, and run_suites
 returns them as a read-only sequence that builds each report, with its two
-sides as Fractions, when it is read.  Its `_rows` is the one reader of the
-columns: the CLI prints the integers it yields and builds no report.
+sides as Fractions, when it is read.  A side is None exactly where the other
+is, so the sequence counts each part's reports and unequal ones off the two
+columns.  Its `_rows`, the one walk over the rows, runs only to print them,
+list failures or build reports; the CLI prints its integers and builds none.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import eq, mul
+from operator import eq, mul, ne
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .bernstein import bernstein_poly
@@ -242,16 +244,22 @@ class IdentityReport:
 
     @classmethod
     def from_json(cls, line: str) -> "IdentityReport":
-        """The report of a `to_json` line.  lhs and rhs must be JSON strings,
+        """The report of a `to_json` line: a JSON object of exactly the six
+        fields.  suite must be one of SUITE_ORDER, variant corrected or
+        as-printed and params an object; lhs and rhs must be JSON strings,
         read as `Poly` reads a coefficient: exponent notation is refused,
         since "1e1000000" would build a million-digit numerator; equal must
         be a JSON bool that agrees with them.  ValueError otherwise."""
         d = json.loads(line)
-        lhs, rhs, equal = d["lhs"], d["rhs"], d["equal"]
-        if not (isinstance(lhs, str) and isinstance(rhs, str) and isinstance(equal, bool)):
-            raise ValueError(f"lhs and rhs must be strings and equal a bool in {line!r}")
-        report = cls(d["suite"], d["params"], _parsed(lhs), _parsed(rhs), d["variant"])
-        if report.equal != equal:
+        if not (isinstance(d, dict)
+                and d.keys() == {"suite", "params", "lhs", "rhs", "equal", "variant"}
+                and d["suite"] in SUITE_ORDER and d["variant"] in (CORRECTED, AS_PRINTED)
+                and isinstance(d["params"], dict) and isinstance(d["equal"], bool)
+                and isinstance(d["lhs"], str) and isinstance(d["rhs"], str)):
+            raise ValueError(f"not a report line: {line!r}")
+        report = cls(d["suite"], d["params"], _parsed(d["lhs"]), _parsed(d["rhs"]),
+                     d["variant"])
+        if report.equal != d["equal"]:
             raise ValueError(f"inconsistent equal flag in {line!r}")
         return report
 
@@ -490,7 +498,7 @@ def _sweep(runs, params, rows: list, cache: EulerCache) -> dict[str, tuple]:
     key tails `params` reads: per suite, (cases, parts), the cases (T, key
     tail) in order, total degree then key tail, and per row of the suite, in
     catalog order, (part, lhs, rhs), the numerators over 2^T of its two sides
-    on each case, lhs None where its text does not apply (no report).
+    on each case, both None where the text of either does not apply.
     A prefix's share of T, K and the prefactor is made once per run, and so
     is its value row folded into W_L, L the run's largest T, the first time a
     case of the run reaches the oracle; the oracle runs at most once per case,
@@ -507,11 +515,11 @@ def _sweep(runs, params, rows: list, cache: EulerCache) -> dict[str, tuple]:
 
     @lru_cache(maxsize=None)
     def sides_of(args: tuple) -> list:
-        """Each row's (lhs, rhs) on a case, _ORACLE or a formula's value; a left
-        formula runs only where the right one applies, both None elsewhere."""
-        return [(None, None) if (right := side(row.rhs, args)) is None else
-                (row.lhs if row.lhs is _ORACLE else side(row.lhs, args), right)
-                for row in rows]
+        """Each row's (lhs, rhs) on a case, _ORACLE or a formula's value, both
+        None where either does not apply; a left one runs only where the right does."""
+        return [(None, None) if (right := side(row.rhs, args)) is None or (
+                    left := row.lhs if row.lhs is _ORACLE else side(row.lhs, args)) is None
+                else (left, right) for row in rows]
 
     for k, prefix, cases in runs:
         T0 = K0 = 0
@@ -551,38 +559,30 @@ def _sweep(runs, params, rows: list, cache: EulerCache) -> dict[str, tuple]:
     return suites
 
 
-def _count(block: tuple) -> int:
-    """The number of reports in the (cases, parts) of one suite."""
-    return sum(len(lhs) - lhs.count(None) for _, lhs, _ in block[1])
-
-
 class _Reports(Sequence):
     """The reports of `run_suites`, kept as the integer columns of `_sweep`.
 
     The blocks are the (cases, parts) of each suite; a block's reports are,
-    case by case, one per part whose lhs has a value there.  Each report, with
-    its params dict and lists, is built when it is read; a read by index walks
+    case by case, one per part whose sides have values there.  `tally` holds
+    (part, reports, unequal) for each part, counted once off its columns, in
+    which a side is None exactly where the other is.  Each report, with its
+    params dict and lists, is built when it is read; a read by index walks
     the rows before it.  Equal to a list of equal reports; `+` gives a list.
     """
 
     def __init__(self, blocks: list) -> None:
         self._blocks = blocks
-        self._len = sum(map(_count, blocks))
+        self.tally = [(part, len(lhs) - lhs.count(None), sum(map(ne, lhs, rhs)))
+                      for _, parts in blocks for part, lhs, rhs in parts]
 
     def __len__(self) -> int:
-        return self._len
+        return sum(count for _, count, _ in self.tally)
 
     def _rows(self) -> Iterator[tuple]:
         """(part, key tail, lhs, rhs, denominator) of each report, in order, the
         sides as integers over the denominator: `part.report(*row)` is the
         report, and a reader that needs no report (the CLI) builds none."""
         for cases, parts in self._blocks:
-            if len(parts) == 1:  # most suites: zip reads a lone row's columns faster
-                (part, lhs, rhs), = parts
-                for (T, tail), left, right in zip(cases, lhs, rhs):
-                    if left is not None:
-                        yield part, tail, left, right, 1 << T
-                continue
             for i, (T, tail) in enumerate(cases):
                 den = 1 << T
                 for part, lhs, rhs in parts:
@@ -595,7 +595,7 @@ class _Reports(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
-        i = range(self._len)[index]  # IndexError past either end
+        i = range(len(self))[index]  # IndexError past either end
         return _Part.report(*next(itertools.islice(self._rows(), i, None)))
 
     def __eq__(self, other: object) -> bool:
@@ -661,10 +661,12 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     sweeps = [(family(**ranges), rows) for family, rows in families.items()]
     for (runs, params), rows in sweeps:
         blocks.update(_sweep(runs, params, rows, cache))
-    empty = [sid for sid in wanted if not _count(blocks[sid])]
+    reports = _Reports([blocks[sid] for sid in wanted])
+    swept = {part.suite for part, count, _ in reports.tally if count}
+    empty = [sid for sid in wanted if sid not in swept]
     if empty:
         raise ValueError(f"empty sweep, no rows for {', '.join(empty)}")
-    return _Reports([blocks[sid] for sid in wanted])
+    return reports
 
 
 def find_counterexample(suite_id: str, variant: str = AS_PRINTED,

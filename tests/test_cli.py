@@ -151,11 +151,18 @@ class TestVerify:
         assert code == 0
         assert "result: PASS" in out
 
-    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-    def test_verdict_is_computed_once(self, fmt, capsys, monkeypatch):
-        # one pass over the sweep's rows feeds the table and the exit code;
-        # json and csv add one pass to check that every value prints and one
-        # to print them, and none of the passes reads a report's `equal`
+    @pytest.mark.parametrize("fmt, args, walks", [
+        ("table", ["--variant", "both"], 1),
+        ("json", ["--variant", "both"], 2),
+        ("csv", ["--variant", "both"], 2),
+        ("table", [], 0),
+    ], ids=["table", "json", "csv", "table-clean"])
+    def test_verdict_is_computed_once(self, fmt, args, walks, capsys, monkeypatch):
+        # the exit code and the table's counts are read off the per-part
+        # tally, which walks no row; a table walks the rows once only to
+        # list its failures, and json and csv walk them twice: to check that
+        # every value prints, then to print them; no walk reads a report's
+        # `equal`
         evaluations, passes = [], []
         equal = IdentityReport.equal
         monkeypatch.setattr(IdentityReport, "equal", property(
@@ -163,29 +170,35 @@ class TestVerify:
         rows_of = identities._Reports._rows
         monkeypatch.setattr(identities._Reports, "_rows",
                             lambda reports: passes.append(None) or rows_of(reports))
-        code = main(["verify", "C13", "--variant", "both", "--n-max", "3",
+        code = main(["verify", "C13", *args, "--n-max", "3",
                      "--expect-typos", "--deterministic", "--format", fmt])
-        rows = len(capsys.readouterr().out.splitlines())
+        out = capsys.readouterr().out
+        rows = len(out.splitlines())
         assert code == 0
-        assert len(passes) == (1 if fmt == "table" else 3)
+        assert ("failures:" in out) == (walks == 1)
+        assert len(passes) == walks
         assert evaluations == []
-        assert rows > 3
+        assert rows == 3 if walks == 0 else rows > 3  # a clean table: header, C13, result
 
     def test_verify_builds_no_report_per_row(self, capsys, monkeypatch):
         # the CLI reads the sweep's integer columns: an audit builds no
-        # IdentityReport (76,897 once), clean or failing, and the table
-        # prints its failures, at most 25 per suite, straight from the rows
-        built = []
+        # IdentityReport (76,897 once), clean or failing, and walks no row
+        # when clean; the table prints its failures, at most 25 per suite,
+        # straight from the rows, in one walk
+        built, walks = [], []
         init = IdentityReport.__init__
         monkeypatch.setattr(IdentityReport, "__init__", lambda self, suite, *args:
                             built.append(suite) or init(self, suite, *args))
+        rows_of = identities._Reports._rows
+        monkeypatch.setattr(identities._Reports, "_rows",
+                            lambda reports: walks.append(None) or rows_of(reports))
         code, out = run_cli(capsys, "verify", "ALL", "--deterministic")
         assert (code, out.splitlines()[-1]) == (0, "result: PASS (76897 comparisons, 0 unequal)")
-        assert built == []
+        assert (built, walks) == ([], [])
         code, out = run_cli(capsys, "verify", "ALL", "--variant", "both", "--deterministic")
         assert (code, out.splitlines()[-1]) == (
             1, "result: FAIL (87381 comparisons, 10256 unequal)")
-        assert built == []
+        assert (built, walks) == ([], [None])
         listed = re.findall(r"^  (\S+) \[as-printed\] ", out, re.MULTILINE)
         assert Counter(listed) == {"C13": 25, "T14": 25, "C15": 25}
 

@@ -394,6 +394,11 @@ class TestVariants:
         assert all(r.variant == CORRECTED and r.equal for r in part_two)
 
 
+# a report line that reads: every field as `to_json` writes it
+_LINE = {"equal": True, "lhs": "1", "params": {"n": 1}, "rhs": "1", "suite": "T1",
+         "variant": CORRECTED}
+
+
 class TestReports:
     def test_json_roundtrip(self):
         reports = run_suites(["T3", "C13"], s_max=1, n_max=3, m_max=1,
@@ -459,6 +464,33 @@ class TestReports:
                 f'"suite": "T1", "variant": "corrected"}}')
         with pytest.raises(ValueError):
             IdentityReport.from_json(line)
+
+    @pytest.mark.parametrize("line", [
+        pytest.param("[1]", id="list"),                      # once TypeError
+        pytest.param('"T1"', id="string"),                   # once TypeError
+        pytest.param("null", id="null"),                     # once TypeError
+        pytest.param({k: v for k, v in _LINE.items() if k != "suite"},
+                     id="no-suite"),                         # once KeyError
+        pytest.param({k: v for k, v in _LINE.items() if k != "equal"},
+                     id="no-equal"),                         # once KeyError
+        # each of the rest once read as a report
+        pytest.param({**_LINE, "note": "x"}, id="extra-key"),
+        pytest.param({**_LINE, "suite": 5}, id="suite-int"),
+        pytest.param({**_LINE, "suite": "T99"}, id="suite-unknown"),
+        pytest.param({**_LINE, "variant": "bogus"}, id="variant-unknown"),
+        pytest.param({**_LINE, "variant": "both"}, id="variant-both"),
+        pytest.param({**_LINE, "params": None}, id="params-null"),
+        pytest.param({**_LINE, "params": [1]}, id="params-list"),
+        pytest.param({**_LINE, "params": None, "suite": 5, "variant": "bogus"},
+                     id="all-three"),
+    ])
+    def test_from_json_refuses_malformed_lines(self, line):
+        # a line is an object of exactly the six keys, with a catalog suite,
+        # a corrected or as-printed variant and params an object
+        assert IdentityReport.from_json(json.dumps(_LINE)) == IdentityReport(
+            "T1", {"n": 1}, Fraction(1), Fraction(1))
+        with pytest.raises(ValueError):
+            IdentityReport.from_json(line if isinstance(line, str) else json.dumps(line))
 
     def test_reports_have_slots_and_round_trip(self):
         reports = run_suites(["T12", "C13"], n_max=3, s_max=2, m_max=2, k_max=1,
@@ -681,6 +713,17 @@ class _BoundedTable:
         return self.table[i]
 
 
+def _walked(reports):
+    """(part, reports, unequal) of each part of a `run_suites` result, counted
+    row by row over its `_rows`, in the order of its tally."""
+    counted = {part: [0, 0] for part, _, _ in reports.tally}
+    for part, _, lhs, rhs, _ in reports._rows():
+        counted[part][0] += 1
+        counted[part][1] += lhs != rhs
+    assert len(counted) == len(reports.tally)
+    return [(part, *count) for part, count in counted.items()]
+
+
 class TestCatalogEngine:
     def test_full_audit_is_byte_identical_to_the_reference(self, full_audit):
         # the reference digests of `verify ALL --variant both --deterministic`
@@ -689,11 +732,23 @@ class TestCatalogEngine:
         reports = full_audit
         assert _sha256(_rendered(render_verify_json, reports)) == JSON_SHA256
         assert _sha256(_rendered(render_verify_csv, reports)) == CSV_SHA256
-        assert _sha256(render_verify_table(_verdict(reports, True), True)) == (
+        assert _sha256(render_verify_table(reports, _verdict(reports, True), True)) == (
             "7cf090d2752db93d886d1660ab562e1e9ca59e37bac1b69ad28e0b961a5a0276")
         corrected = run_suites("ALL")
-        assert _sha256(render_verify_table(_verdict(corrected, False), True)) == (
+        assert _sha256(render_verify_table(corrected, _verdict(corrected, False), True)) == (
             "bc209a5775cc0907fb777fc6a66ee97da6da39d1d5c1f742e36797552166571b")
+
+    def test_a_side_is_none_exactly_where_the_other_is(self, full_audit):
+        # the sweep stores both sides of a case or neither (C13 as printed
+        # past K - j < 0 and EULER's E_T(2) at T = 0 once kept a right side
+        # beside no left one), so the tally read off each part's columns is
+        # the count a walk over its rows gives
+        for _, parts in full_audit._blocks:
+            for part, lhs, rhs in parts:
+                assert [v is None for v in lhs] == [v is None for v in rhs], part
+        assert full_audit.tally == _walked(full_audit)
+        assert [sum(bad for part, _, bad in full_audit.tally if part.variant == variant)
+                for variant in (CORRECTED, AS_PRINTED)] == [0, 10_256]
 
     @pytest.mark.parametrize("render, digest", [(render_verify_json, JSON_SHA256),
                                                 (render_verify_csv, CSV_SHA256)],
@@ -947,6 +1002,14 @@ def test_t14_oracle_sides_match_fraction_products():
         assert r.lhs == bernstein_product_integral(factors, _SERIES_E), r
 
 
+def _faulted_table(top, index):
+    """A fresh Euler table through e_top with one more on e_index."""
+    cache = EulerCache()
+    cache.ensure(top)
+    cache._scaled[index] += 1
+    return cache
+
+
 @pytest.mark.parametrize("index, ids, ranges", [
     *(pytest.param(i, ["T12"], {}, id=f"e{i}") for i in (64, 63, 3)),
     *(pytest.param(i, ["T14"], {"n_max": 8}, id=f"e{i}-n_max8") for i in (144, 143, 136))])
@@ -956,12 +1019,18 @@ def test_table_fault_is_caught(index, ids, ranges):
     # the one below it, and at a low odd one; the oracle reads no table, so a
     # fault cannot shift both sides of a row alike
     top = 144 if ranges else 64
-    cache = EulerCache()
-    cache.ensure(top)
-    cache._scaled[index] += 1
+    cache = _faulted_table(top, index)
     reports = run_suites(ids, cache=cache, **ranges)
     assert len(cache._scaled) == top + 1  # the sweep read no further
     assert not all(r.equal for r in reports)
+
+
+def test_tally_counts_a_table_fault():
+    # with e_3 one off, corrected rows fail too, and each part's tally is
+    # still the count a walk over its rows gives
+    reports = run_suites("ALL", variant="both", cache=_faulted_table(64, 3), **FAULT_RANGES)
+    assert reports.tally == _walked(reports)
+    assert sum(bad for part, _, bad in reports.tally if part.variant == CORRECTED) > 0
 
 
 @pytest.mark.parametrize("side", ["literal", "oracle"])
