@@ -28,6 +28,7 @@ import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
@@ -76,30 +77,23 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
-def _too_long(num: int, den: int, limit: int) -> bool:
-    """Whether num/den, den > 0, printed in lowest terms would pass `limit`,
-    the int-to-str limit (see `_digit_limit`), which refuses a value of more
-    than `limit` digits, that is |v| >= 10^limit.  The fraction is reduced
-    only when num or den is past the limit."""
-    if not limit or max(num.bit_length(), den.bit_length()) <= limit * 3321928 // 1000000:
-        return False  # 2^(limit * 3321928 // 1000000) <= 10^limit
-    g = gcd(num, den)
-    return any(abs(v) >= 10 ** limit for v in (num // g, den // g))
-
-
-def _limit_error(where: str, limit: int) -> ValueError:
-    return ValueError(f"{where}: a value has more than {limit} digits, "
+def _limit_error(where: str) -> ValueError:
+    return ValueError(f"{where}: a value has more than {_digit_limit()} digits, "
                       f"the int-to-str limit (sys.set_int_max_str_digits)")
 
 
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
-    """Raise ValueError, before any output, if the printed (reduced) lhs or
-    rhs of a `run_suites` result would pass the int-to-str limit (see
-    `_too_long`), which is read once for the whole pass."""
+    """Raise ValueError, before any output, if a printed (reduced) side of a
+    `run_suites` result passes the int-to-str limit (see `_digit_limit`); a
+    row past the bit bound is converted with `_text`, as the render will."""
     limit = _digit_limit()
+    bits = limit * 3321928 // 1000000  # 2^bits <= 10^limit: shorter integers print
     for part, case, lhs, rhs, den in reports._rows():
-        if _too_long(lhs, den, limit) or _too_long(rhs, den, limit):
-            raise _limit_error(f"{part.suite} {_params_text(part.params(case))}", limit)
+        if limit and max(lhs.bit_length(), rhs.bit_length(), den.bit_length()) > bits:
+            try:
+                _text(lhs, den), _text(rhs, den)
+            except ValueError:
+                raise _limit_error(f"{part.suite} {_params_text(part.params(case))}") from None
 
 
 def _params_text(params: dict) -> str:
@@ -138,7 +132,8 @@ def _verdict(reports: Sequence[IdentityReport], expect_typos: bool) -> _Verdict:
 def render_verify_table(reports: Sequence[IdentityReport], verdict: _Verdict,
                         deterministic: bool) -> str:
     """The table of a `run_suites` result whose tally gave `verdict` (see
-    `_verdict`); it walks the rows only to list failures, when there are some."""
+    `_verdict`); it lists at most 25 unequal rows of each failing suite,
+    read only from those suites, and counts the rest off `verdict`."""
     lines = []
     if not deterministic:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -148,19 +143,13 @@ def render_verify_table(reports: Sequence[IdentityReport], verdict: _Verdict,
         lines.append(f"{sid:<6} {checks:>7} {checks - fails:>7} {fails:>6}")
     if any(fails for _, fails in verdict.counts.values()):
         lines.append("failures:")
-        shown: dict[str, int] = {}
-        for part, case, lhs, rhs, den in reports._rows():
-            if lhs == rhs:
-                continue
-            shown[part.suite] = shown.get(part.suite, 0) + 1
-            if shown[part.suite] <= _TABLE_FAIL_CAP:
-                lines.append(f"  {part.suite} [{part.variant}] "
-                             f"{_params_text(part.params(case))}: "
-                             f"lhs={_text(lhs, den)} rhs={_text(rhs, den)}")
-        for sid, count in shown.items():
-            if count > _TABLE_FAIL_CAP:
-                lines.append(f"  ... and {count - _TABLE_FAIL_CAP} more failures "
-                             f"in {sid}")
+        for _, rows in groupby(reports._rows(unequal=True), lambda row: row[0].suite):
+            lines.extend(f"  {part.suite} [{part.variant}] "
+                         f"{_params_text(part.params(case))}: "
+                         f"lhs={_text(lhs, den)} rhs={_text(rhs, den)}"
+                         for part, case, lhs, rhs, den in islice(rows, _TABLE_FAIL_CAP))
+        lines.extend(f"  ... and {fails - _TABLE_FAIL_CAP} more failures in {sid}"
+                     for sid, (_, fails) in verdict.counts.items() if fails > _TABLE_FAIL_CAP)
     lines.append(verdict.line)
     return "\n".join(lines) + "\n"
 
@@ -225,11 +214,11 @@ def _cmd_padic_trace(args):
     f = _parse_poly(args.poly)
     # |S_N| grows with p^N, so the deepest row, one partial sum, is the
     # longest: a trace that cannot print is refused before any row is made
-    # (a longer middle row, which a polynomial with huge coefficients could
-    # give, still fails its str() below, before any output)
-    last, limit = partial_sum(f, args.p, args.n_max), _digit_limit()
-    if _too_long(last.numerator, last.denominator, limit):
-        raise _limit_error(f"S_{args.n_max}", limit)
+    # (a longer middle row, from huge coefficients, fails its str() below)
+    try:
+        str(partial_sum(f, args.p, args.n_max))
+    except ValueError:
+        raise _limit_error(f"S_{args.n_max}") from None
     trace = convergence_trace(f, args.p, args.n_max)
     if args.format == "csv":
         return 0, _writes(trace.to_csv())

@@ -19,8 +19,6 @@ from typing import Iterable, Sequence, Union
 
 __all__ = ["Poly", "binom", "expand_pow_product"]
 
-Fr = Fraction  # local binding, constructed a lot
-
 Coeff = Union[int, Fraction, str]
 
 
@@ -30,7 +28,7 @@ def _parsed(c: object) -> Fraction:
     for "1e100000000" Fraction would build a 10^8-digit integer."""
     if isinstance(c, str) and ("e" in c or "E" in c):
         raise ValueError(f"malformed coefficient {c!r}: no exponent notation")
-    return Fr(c)
+    return Fraction(c)
 
 
 # C(n, k); 0 for k > n, so an out-of-range B_{k,n} in a sweep has prefactor 0
@@ -103,7 +101,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den
-        return tuple([Fr(n, den) for n in self._nums])
+        return tuple([Fraction(n, den) for n in self._nums])
 
     @property
     def numerators(self) -> tuple[int, ...]:
@@ -125,8 +123,8 @@ class Poly:
     def coeff(self, i: int) -> Fraction:
         """Coefficient of x**i (0 beyond the stored degree)."""
         if 0 <= i < len(self._nums):
-            return Fr(self._nums[i], self._den)
-        return Fr(0)
+            return Fraction(self._nums[i], self._den)
+        return Fraction(0)
 
     def to_coeff_string(self) -> str:
         """Inverse of from_coeff_string; the zero polynomial prints as "0"."""
@@ -213,7 +211,7 @@ class Poly:
         for n in reversed(self._nums):
             acc = acc * a + n * scale
             scale *= b
-        return Fr(acc * b, self._den * scale)
+        return Fraction(acc * b, self._den * scale)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), exactly, by Horner over the polynomial ring on
@@ -221,7 +219,7 @@ class Poly:
         acc = Poly()
         for n in reversed(self._nums):
             acc = acc * inner + n
-        return acc * Fr(1, self._den)
+        return acc * Fraction(1, self._den)
 
     def shifted(self, n: Coeff) -> "Poly":
         """self(x + n)."""

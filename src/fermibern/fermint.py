@@ -22,7 +22,7 @@ normalizes by (1+q)/(1+q^{p^N}); at q = 1 the normalizer collapses to 1
 and the plain partial sum reappears.  `q_partial_sum` evaluates that
 deformation in Z/p^M.
 
-Useful functional equations, both verified at runtime where exposed:
+Useful functional equations, each verified at runtime where exposed:
 
     I(f(x+1)) = -I(f) + 2 f(0)
     I(f(x+n)) = (-1)^n I(f) + 2 sum_{l=0}^{n-1} (-1)^(n-1-l) f(l)

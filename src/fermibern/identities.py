@@ -74,8 +74,8 @@ in two columns per catalog row beside the key of each case, and run_suites
 returns them as a read-only sequence that builds each report, with its two
 sides as Fractions, when it is read.  A side is None exactly where the other
 is, so the sequence counts each part's reports and unequal ones off the two
-columns.  Its `_rows`, the one walk over the rows, runs only to print them,
-list failures or build reports; the CLI prints its integers and builds none.
+columns.  Its `_rows`, the one walk, runs only to print rows, list failures
+(reading failing suites only) or build reports; the CLI builds no report.
 """
 
 from __future__ import annotations
@@ -567,7 +567,8 @@ class _Reports(Sequence):
     (part, reports, unequal) for each part, counted once off its columns, in
     which a side is None exactly where the other is.  Each report, with its
     params dict and lists, is built when it is read; a read by index walks
-    the rows before it.  Equal to a list of equal reports; `+` gives a list.
+    the rows before it, `reversed` and `index` walk them once.  Equal to a
+    list of equal reports; `+` gives a list.
     """
 
     def __init__(self, blocks: list) -> None:
@@ -578,19 +579,30 @@ class _Reports(Sequence):
     def __len__(self) -> int:
         return sum(count for _, count, _ in self.tally)
 
-    def _rows(self) -> Iterator[tuple]:
+    def _rows(self, unequal: bool = False) -> Iterator[tuple]:
         """(part, key tail, lhs, rhs, denominator) of each report, in order, the
-        sides as integers over the denominator: `part.report(*row)` is the
-        report, and a reader that needs no report (the CLI) builds none."""
+        sides as integers over the denominator (`part.report(*row)` is the
+        report; the CLI builds none); with `unequal`, only the rows whose sides
+        differ, and no block whose tally has none is read."""
+        fails = (fails for _, _, fails in self.tally)
         for cases, parts in self._blocks:
+            if unequal and not sum(itertools.islice(fails, len(parts))):
+                continue
             for i, (T, tail) in enumerate(cases):
                 den = 1 << T
                 for part, lhs, rhs in parts:
-                    if lhs[i] is not None:
+                    if lhs[i] is not None and not (unequal and lhs[i] == rhs[i]):
                         yield part, tail, lhs[i], rhs[i], den
 
     def __iter__(self) -> Iterator[IdentityReport]:
         return itertools.starmap(_Part.report, self._rows())
+
+    def __reversed__(self) -> Iterator[IdentityReport]:
+        return reversed(list(self))
+
+    def index(self, value, start: int = 0, stop: Optional[int] = None) -> int:
+        span = range(len(self))[start:stop]
+        return list(itertools.islice(self, span.stop)).index(value, span.start)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -677,8 +689,8 @@ def find_counterexample(suite_id: str, variant: str = AS_PRINTED,
     the remaining parameters, i.e. the order run_suites emits.  With the
     default variant this locates the minimal counterexample to a
     typo-carrying catalog entry; with variant="corrected" a None return
-    is the exhaustive all-clear for the swept range.  A range that sweeps
-    no rows raises ValueError, as in run_suites.
+    is the exhaustive all-clear for the swept range, which walks no row.
+    A range that sweeps no rows raises ValueError, as in run_suites.
     """
-    rows = run_suites([suite_id], variant=variant, **ranges)._rows()
-    return next((_Part.report(*row) for row in rows if row[2] != row[3]), None)
+    rows = run_suites([suite_id], variant=variant, **ranges)._rows(unequal=True)
+    return next(itertools.starmap(_Part.report, rows), None)

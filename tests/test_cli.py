@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from fermibern import CORRECTED, IdentityReport, cli, identities
-from fermibern.cli import _too_long, main
+from fermibern.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +29,25 @@ def _swept(suite, variant, params, lhs, rhs, T):
     may be far from lowest terms."""
     part = identities._Part(suite, variant, lambda case: dict(params))
     return identities._Reports([([(T, ())], [(part, [lhs], [rhs])])])
+
+
+class _LoggedCases(list):
+    """The cases of a block, which log its suite each time they are walked."""
+
+    def __init__(self, cases, suite, log):
+        super().__init__(cases)
+        self.suite, self.log = suite, log
+
+    def __iter__(self):
+        self.log.append(self.suite)
+        return super().__iter__()
+
+
+def _logging_walks(reports, log):
+    """A `run_suites` result like `reports` that appends a suite to `log`
+    each time a walk reads the rows of its block."""
+    return identities._Reports([(_LoggedCases(cases, parts[0][0].suite, log), parts)
+                                for cases, parts in reports._blocks])
 
 
 class TestScalarCommands:
@@ -159,24 +178,24 @@ class TestVerify:
     ], ids=["table", "json", "csv", "table-clean"])
     def test_verdict_is_computed_once(self, fmt, args, walks, capsys, monkeypatch):
         # the exit code and the table's counts are read off the per-part
-        # tally, which walks no row; a table walks the rows once only to
-        # list its failures, and json and csv walk them twice: to check that
-        # every value prints, then to print them; no walk reads a report's
-        # `equal`
+        # tally, which walks no row; a table walks the unequal rows once only
+        # to list its failures, and json and csv walk all rows twice: to
+        # check that every value prints, then to print them; no walk reads a
+        # report's `equal`
         evaluations, passes = [], []
         equal = IdentityReport.equal
         monkeypatch.setattr(IdentityReport, "equal", property(
             lambda r: evaluations.append(r) or equal.fget(r)))
         rows_of = identities._Reports._rows
-        monkeypatch.setattr(identities._Reports, "_rows",
-                            lambda reports: passes.append(None) or rows_of(reports))
+        monkeypatch.setattr(identities._Reports, "_rows", lambda reports, **kwargs:
+                            passes.append(kwargs) or rows_of(reports, **kwargs))
         code = main(["verify", "C13", *args, "--n-max", "3",
                      "--expect-typos", "--deterministic", "--format", fmt])
         out = capsys.readouterr().out
         rows = len(out.splitlines())
         assert code == 0
         assert ("failures:" in out) == (walks == 1)
-        assert len(passes) == walks
+        assert passes == ([{"unequal": True}] if walks == 1 else [{}] * walks)
         assert evaluations == []
         assert rows == 3 if walks == 0 else rows > 3  # a clean table: header, C13, result
 
@@ -184,21 +203,24 @@ class TestVerify:
         # the CLI reads the sweep's integer columns: an audit builds no
         # IdentityReport (76,897 once), clean or failing, and walks no row
         # when clean; the table prints its failures, at most 25 per suite,
-        # straight from the rows, in one walk
-        built, walks = [], []
+        # straight from the unequal rows, in one walk that reads only the
+        # rows of the C13, T14 and C15 blocks
+        built, walks, read = [], [], []
         init = IdentityReport.__init__
         monkeypatch.setattr(IdentityReport, "__init__", lambda self, suite, *args:
                             built.append(suite) or init(self, suite, *args))
         rows_of = identities._Reports._rows
-        monkeypatch.setattr(identities._Reports, "_rows",
-                            lambda reports: walks.append(None) or rows_of(reports))
+        monkeypatch.setattr(identities._Reports, "_rows", lambda reports, **kwargs:
+                            walks.append(kwargs) or rows_of(reports, **kwargs))
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs:
+                            _logging_walks(identities.run_suites(*args, **kwargs), read))
         code, out = run_cli(capsys, "verify", "ALL", "--deterministic")
         assert (code, out.splitlines()[-1]) == (0, "result: PASS (76897 comparisons, 0 unequal)")
         assert (built, walks) == ([], [])
         code, out = run_cli(capsys, "verify", "ALL", "--variant", "both", "--deterministic")
         assert (code, out.splitlines()[-1]) == (
             1, "result: FAIL (87381 comparisons, 10256 unequal)")
-        assert (built, walks) == ([], [None])
+        assert (built, walks, read) == ([], [{"unequal": True}], ["C13", "T14", "C15"])
         listed = re.findall(r"^  (\S+) \[as-printed\] ", out, re.MULTILINE)
         assert Counter(listed) == {"C13": 25, "T14": 25, "C15": 25}
 
@@ -411,18 +433,17 @@ class TestPrintLimit:
 
     def test_check_is_exact_at_the_limit(self, limit_640):
         # str() refuses a value of more than 640 digits, |v| >= 10^640, and
-        # prints every smaller one, numerator or denominator, either sign
-        def too_long(value):
-            value = Fraction(value)
-            return _too_long(value.numerator, value.denominator, cli._digit_limit())
+        # prints every smaller one, numerator or denominator, either sign;
+        # 2^2126 has 640 digits, 2^2127 has 641
         widest = 10**640 - 1
-        for value in (widest, -widest, Fraction(1, widest), Fraction(-widest, 7)):
-            assert not too_long(value)
-            str(Fraction(value))
-        for value in (10**640, -10**640, Fraction(1, 10**640), Fraction(2**2200, 3)):
-            assert too_long(value)
+        for lhs, rhs, T in [(widest, -widest, 0), (1, -1, 2126), (widest << 9, 0, 9)]:
+            cli._check_printable(_swept("T1", CORRECTED, {"n": 1}, lhs, rhs, T))
+            str(Fraction(lhs, 1 << T)), str(Fraction(rhs, 1 << T))
+        for lhs, rhs, T in [(10**640, 0, 0), (0, -10**640, 0), (1, 0, 2127), (0, -1, 2127)]:
+            with pytest.raises(ValueError, match="^T1 n=1: a value has more than 640 digits"):
+                cli._check_printable(_swept("T1", CORRECTED, {"n": 1}, lhs, rhs, T))
             with pytest.raises(ValueError):
-                str(Fraction(value))
+                str(Fraction(lhs, 1 << T)), str(Fraction(rhs, 1 << T))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_the_printed_value_decides_not_the_stored_one(self, fmt, limit_640, capsys,

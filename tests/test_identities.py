@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from fermibern import (
 )
 
 from oracles import FRACTION_FORMULAS, bernstein_product_integral, euler_numbers_by_series
-from test_cli import _swept
+from test_cli import _logging_walks, _swept
 
 
 PROBES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]
@@ -341,6 +342,19 @@ class TestVariants:
         assert bad.lhs == Fraction(-1, 2)
         assert bad.rhs == 0
 
+    def test_a_clean_sweep_walks_no_row(self, monkeypatch):
+        # the first unequal row is read off `_rows(unequal=True)`, which
+        # skips every block whose tally is clean: a clean sweep walks no
+        # row, a failing one the block of its suite once
+        walked = []
+        monkeypatch.setattr(identities, "run_suites", lambda *args, **kwargs:
+                            _logging_walks(run_suites(*args, **kwargs), walked))
+        assert find_counterexample("T3", variant=CORRECTED) is None
+        assert walked == []
+        bad = find_counterexample("C13", s_max=1, n_max=3, m_max=1, k_max=1)
+        assert bad.params == {"k": 1, "s": 1, "n": [2], "m": [1]}
+        assert walked == ["C13"]
+
     @pytest.mark.parametrize("suite, ranges", [
         ("C13", dict(variant=AS_PRINTED, k_max=0)),
         ("T1", dict(variant=CORRECTED, n_max=0)),
@@ -542,6 +556,31 @@ class TestRunSuites:
         assert reports[0] is not reports[0] and reports[0].params is not reports[0].params
         assert reports + reports == listed + listed
         assert not hasattr(reports, "append")
+
+    def test_reversed_and_index_walk_the_rows_once(self, monkeypatch):
+        # Sequence's own reversed() and index() read one report per index,
+        # and each read walks the rows before it; these walk them once and
+        # agree with Sequence's, start and stop included
+        reports = run_suites("T5", n_max=3)
+        listed = list(reports)
+        last, walks = listed[-1], []
+        rows_of = identities._Reports._rows
+        monkeypatch.setattr(identities._Reports, "_rows", lambda self, **kwargs:
+                            walks.append(kwargs) or rows_of(self, **kwargs))
+        assert list(reversed(reports)) == listed[::-1]
+        assert reports.index(last) == len(listed) - 1
+        assert walks == [{}, {}]
+        n = len(listed)
+        for value in (listed[0], listed[3], last):
+            for start, stop in [(0, None), (3, None), (-2, None), (-n - 5, None),
+                                (0, 3), (1, -1), (4, 2), (0, n + 5), (0, -n - 5)]:
+                try:
+                    want = Sequence.index(listed, value, start, stop)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        reports.index(value, start, stop)
+                else:
+                    assert reports.index(value, start, stop) == want
 
     def test_empty_sweep_names_every_empty_suite(self):
         # a sweep that checks nothing must not return an empty all-clear
