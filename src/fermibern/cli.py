@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 at least one identity comparison failed
 (as-printed failures are tolerated under --expect-typos), 2 bad usage,
 a requested suite that swept no rows, a number too long to print, or a
 failed write to stdout or --out (a closed pipe, a full disk, a missing
-directory).
+directory), 3 an internal error: a catalog formula raised.
 Polynomials are entered as comma-separated rational coefficients, lowest
 degree first: "0, 1" is x, "1, -2, 1" is (1-x)^2.
 """
@@ -28,7 +28,6 @@ import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
-from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
@@ -37,7 +36,8 @@ from .bernstein import bernstein_poly
 from .euler import euler_number, euler_poly
 from .exactnum import Poly
 from .fermint import convergence_trace, integrate, partial_sum
-from .identities import AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER, IdentityReport, run_suites
+from .identities import (AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER, CatalogError,
+                         IdentityReport, run_suites)
 
 __all__ = ["main", "build_parser"]
 
@@ -84,12 +84,17 @@ def _limit_error(where: str) -> ValueError:
 
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
     """Raise ValueError, before any output, if a printed (reduced) side of a
-    `run_suites` result passes the int-to-str limit (see `_digit_limit`); a
-    row past the bit bound is converted with `_text`, as the render will."""
+    `run_suites` result passes the int-to-str limit (see `_digit_limit`).
+    An integer of at most `bits` bits prints, so a result whose longest
+    integer, read off its columns (`bit_length`), has no more walks no row;
+    otherwise each row past that bound is converted with `_text`, as the
+    render will."""
     limit = _digit_limit()
     bits = limit * 3321928 // 1000000  # 2^bits <= 10^limit: shorter integers print
+    if not limit or reports.bit_length() <= bits:
+        return
     for part, case, lhs, rhs, den in reports._rows():
-        if limit and max(lhs.bit_length(), rhs.bit_length(), den.bit_length()) > bits:
+        if max(lhs.bit_length(), rhs.bit_length(), den.bit_length()) > bits:
             try:
                 _text(lhs, den), _text(rhs, den)
             except ValueError:
@@ -133,7 +138,7 @@ def render_verify_table(reports: Sequence[IdentityReport], verdict: _Verdict,
                         deterministic: bool) -> str:
     """The table of a `run_suites` result whose tally gave `verdict` (see
     `_verdict`); it lists at most 25 unequal rows of each failing suite,
-    read only from those suites, and counts the rest off `verdict`."""
+    reading no other row, and counts the rest off `verdict`."""
     lines = []
     if not deterministic:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -143,19 +148,15 @@ def render_verify_table(reports: Sequence[IdentityReport], verdict: _Verdict,
         lines.append(f"{sid:<6} {checks:>7} {checks - fails:>7} {fails:>6}")
     if any(fails for _, fails in verdict.counts.values()):
         lines.append("failures:")
-        for _, rows in groupby(reports._rows(unequal=True), lambda row: row[0].suite):
-            lines.extend(f"  {part.suite} [{part.variant}] "
-                         f"{_params_text(part.params(case))}: "
-                         f"lhs={_text(lhs, den)} rhs={_text(rhs, den)}"
-                         for part, case, lhs, rhs, den in islice(rows, _TABLE_FAIL_CAP))
+        lines.extend(f"  {part.suite} [{part.variant}] "
+                     f"{_params_text(part.params(case))}: "
+                     f"lhs={_text(lhs, den)} rhs={_text(rhs, den)}"
+                     for part, case, lhs, rhs, den in reports._rows(unequal=True,
+                                                                    cap=_TABLE_FAIL_CAP))
         lines.extend(f"  ... and {fails - _TABLE_FAIL_CAP} more failures in {sid}"
                      for sid, (_, fails) in verdict.counts.items() if fails > _TABLE_FAIL_CAP)
     lines.append(verdict.line)
     return "\n".join(lines) + "\n"
-
-
-# json.dumps(params, sort_keys=True), without making an encoder per call
-_params_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _json_line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
@@ -170,13 +171,14 @@ def _json_line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
 
 def _printed(reports: Sequence[IdentityReport]):
     """(suite, variant, params, lhs, rhs, equal) of each report as it prints:
-    params as json.dumps(params, sort_keys=True), made once for the reports
-    of a case that share their params, and lhs and rhs reduced."""
+    params as json.dumps(params, sort_keys=True), written by `part.text` from
+    the case's key tail with no params dict or encoder, once for the reports
+    of a case that share their text, and lhs and rhs reduced."""
     make = case = text = None
     for part, c, lhs, rhs, den in reports._rows():
-        if c is not case or part.params is not make:
-            make, case = part.params, c
-            text = _params_json(make(case))
+        if c is not case or part.text is not make:
+            make, case = part.text, c
+            text = make(c)
         yield part.suite, part.variant, text, _text(lhs, den), _text(rhs, den), lhs == rhs
 
 
@@ -306,7 +308,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out_path = getattr(args, "out", None)
     # each command does every step that can fail and returns its exit code
     # and render; a bad p, a refused sweep range, a number too long for
-    # int-to-str conversion or a failed write is bad usage, in every subcommand
+    # int-to-str conversion or a failed write is bad usage, in every subcommand,
+    # and a catalog formula that raises is an internal error
     try:
         code, render = args.func(args)
         with (open(out_path, "w", encoding="utf-8") if out_path
@@ -314,6 +317,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             render(out)
             out.flush()
         return code
+    except CatalogError as exc:
+        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:

@@ -74,8 +74,13 @@ in two columns per catalog row beside the key of each case, and run_suites
 returns them as a read-only sequence that builds each report, with its two
 sides as Fractions, when it is read.  A side is None exactly where the other
 is, so the sequence counts each part's reports and unequal ones off the two
-columns.  Its `_rows`, the one walk, runs only to print rows, list failures
-(reading failing suites only) or build reports; the CLI builds no report.
+columns, and reads the longest integer it holds off them too.  Its `_rows`,
+the one walk, runs only to print rows, list failures (reading failing suites
+only, and at most as many rows of each as are listed) or build reports; the
+CLI builds no report.  Each family also writes the params of a case as the
+text `json.dumps(params, sort_keys=True)` gives, straight from its key tail,
+so the JSON export encodes no params dict.  A formula that raises is a fault
+of the catalog, not of the input: the sweep raises `CatalogError`.
 """
 
 from __future__ import annotations
@@ -86,7 +91,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from operator import eq, mul, ne
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -101,6 +107,7 @@ __all__ = [
     "SUITE_ORDER",
     "ProductSpec",
     "IdentityReport",
+    "CatalogError",
     "oracle_integral",
     "run_suites",
     "find_counterexample",
@@ -321,16 +328,29 @@ _F = {
 
 
 # -- the product families --------------------------------------------------------
-# family(**ranges) returns (runs, params).  The runs (k, prefix, cases) come
-# lazily: the cases of a run are the products prefix + (last,), each given as
-# (last, key tail), where a factor (k_i, n_i, m_i) stands for B_{k_i,n_i}^{m_i},
-# and params(key tail) makes a new params dict of the case; the cases come
-# in the order of `combinations_with_replacement` or `product` over all the
-# factors, so `_sweep` handles a prefix once per run, and evaluates its product
-# only for a run that reaches an oracle row.  Sorted, the key tails order the
-# cases of one total degree.  A family ignores ranges it has no use for, and
-# counts its cases when it is made, without listing them: a range over
-# PRODUCTS_MAX (T1..C13) or FULL_PRODUCTS_MAX (T14/C15) is refused.
+# family(**ranges) returns (runs, params, text).  The runs (k, prefix, cases)
+# come lazily: the cases of a run are the products prefix + (last,), each given
+# as (last, key tail), where a factor (k_i, n_i, m_i) stands for
+# B_{k_i,n_i}^{m_i}; params(key tail) makes a new params dict of the case, and
+# text(key tail) is json.dumps(params(key tail), sort_keys=True), written as
+# one f-string in sorted key order.  text takes the `extra` keys of the catalog
+# rows of its family (EULER's check, T14's part) as keywords and writes them
+# where they sort.  The cases come in the order of `combinations_with_replacement`
+# or `product` over all the factors, so `_sweep` handles a prefix once per run,
+# and evaluates its product only for a run that reaches an oracle row.  Sorted,
+# the key tails order the cases of one total degree.  A family ignores ranges
+# it has no use for, and counts its cases when it is made, without listing
+# them: a range over PRODUCTS_MAX (T1..C13) or FULL_PRODUCTS_MAX (T14/C15) is
+# refused.
+
+class _Heads(dict):
+    """The text "[a, b, " of each tuple (a, b) of ints it is read at: the JSON
+    list of the tuple and one more item, up to that item, written once."""
+
+    def __missing__(self, items: tuple) -> str:
+        text = self[items] = "[" + "".join(f"{x}, " for x in items)
+        return text
+
 
 def _capped(label: str, counts, limit: int) -> None:
     """Refuse the sweep `label` once the running sum of `counts` passes `limit`."""
@@ -342,14 +362,15 @@ def _capped(label: str, counts, limit: int) -> None:
                              f"more than the {limit} allowed")
 
 
-def _products(label, ks, n_range, m_max, counts, params):
+def _products(label, ks, n_range, m_max, counts, params, text):
     """prod_i B_{k,n_i}^{m_i} for each k in ks and each nondecreasing sequence
     of pairs (n, m), n in the range n_range(k) and 1 <= m <= m_max, whose
     length s is in counts; the sequences of one length come in lexicographic
     order, one run for each of their first s - 1 pairs, so consecutive runs
     share long prefixes.  Key tail (s, k, n_1..n_{s-1}, n_s, m_1..m_{s-1},
     m_s), which sorts as (s, k, n_i..., m_i...) would; the params of a case
-    are params(k, [n_i...], [m_i...]).  Returns (runs, params of a key tail).
+    are params(k, [n_i...], [m_i...]) and their text is text(*key tail).
+    Returns (runs, params of a key tail, text of a key tail).
 
     Not a generator: the case count, sum_k sum_s C(width_k + s - 1, s) with
     width_k = len(n_range(k)) m_max, is checked when the family is made.
@@ -373,49 +394,64 @@ def _products(label, ks, n_range, m_max, counts, params):
     def params_of(tail):
         _, k, ns, n, ms, m = tail
         return params(k, [*ns, n], [*ms, m])
-    return runs(), params_of
+
+    def text_of(tail, **extra):
+        return text(*tail, **extra)
+    return runs(), params_of, text_of
 
 
 def _powers(n_max=DEFAULT_EULER_N_MAX, **_):   # EULER: x^n = B_{n,n}, n >= 0
     return _products(f"EULER with n_max={n_max}", range(n_max + 1), lambda k: range(k, k + 1),
-                     1, (1,), lambda k, ns, ms: {"n": k})
+                     1, (1,), lambda k, ns, ms: {"n": k},
+                     lambda s, k, ns, n, ms, m, check=None: f'{{"n": {k}}}' if check is None
+                     else f'{{"check": {_quote(check)}, "n": {k}}}')
 
 
 def _ladder(n_max=DEFAULT_SINGLE_N_MAX, **_):   # T1: (1-x)^n, n >= 1
     return _products(f"T1 with n_max={n_max}", (0,), lambda k: range(1, n_max + 1), 1,
-                     (1,), lambda k, ns, ms: {"n": ns[0]})
+                     (1,), lambda k, ns, ms: {"n": ns[0]},
+                     lambda s, k, ns, n, ms, m: f'{{"n": {n}}}')
 
 
-def _fixed(sids: str, count: int, n_default: int, names: tuple, lo=lambda k: 0):
-    """`count` factors B_{k,n}, lo(k) <= n <= n_max, k <= k_max (default n_max).
+def _fixed(sids: str, count: int, n_default: int, names: tuple, text, lo=lambda k: 0):
+    """`count` factors B_{k,n}, lo(k) <= n <= n_max, k <= k_max (default n_max),
+    params `names` for k and the n of each factor in turn, and `text` theirs.
     A k past n_max makes every factor 0, so k stops at min(k_max, n_max)."""
     def family(n_max=n_default, k_max=None, **_):
         k_max = n_max if k_max is None else k_max
         return _products(f"{sids} with n_max={n_max}, k_max={k_max}",
                          range(min(k_max, n_max) + 1),
                          lambda k: range(lo(k), n_max + 1), 1, (count,),
-                         lambda k, ns, ms: dict(zip(names, [k, *ns])))
+                         lambda k, ns, ms: dict(zip(names, [k, *ns])), text)
     return family
 
 
-_single = _fixed("P2/T3/C4", 1, DEFAULT_SINGLE_N_MAX, ("k", "n"), lo=lambda k: k)
-_two = _fixed("T5/P6/C7", 2, DEFAULT_TWO_DEG_MAX, ("k", "n", "m"))
-_three = _fixed("T8/C9", 3, DEFAULT_THREE_DEG_MAX, ("k", "n", "m", "s"))
+_single = _fixed("P2/T3/C4", 1, DEFAULT_SINGLE_N_MAX, ("k", "n"),
+                 lambda s, k, ns, n, ms, m: f'{{"k": {k}, "n": {n}}}', lo=lambda k: k)
+_two = _fixed("T5/P6/C7", 2, DEFAULT_TWO_DEG_MAX, ("k", "n", "m"),
+              lambda s, k, ns, n, ms, m: f'{{"k": {k}, "m": {n}, "n": {ns[0]}}}')
+_three = _fixed("T8/C9", 3, DEFAULT_THREE_DEG_MAX, ("k", "n", "m", "s"),
+                lambda s, k, ns, n, ms, m: f'{{"k": {k}, "m": {ns[1]}, "n": {ns[0]}, "s": {n}}}')
 
 
 def _sfold(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
            s_max=DEFAULT_SFOLD_S_MAX, **_):                             # T10, C11
+    heads = _Heads()
     return _products(f"T10/C11 with n_max={n_max}, k_max={k_max}, s_max={s_max}",
                      range(k_max + 1), lambda k: range(n_max + 1), 1, range(1, s_max + 1),
-                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": ns})
+                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": ns},
+                     lambda s, k, ns, n, ms, m: f'{{"k": {k}, "n": {heads[ns]}{n}], "s": {s}}}')
 
 
 def _mult(n_max=DEFAULT_SFOLD_N_MAX, k_max=DEFAULT_SFOLD_K_MAX,
           s_max=DEFAULT_SFOLD_S_MAX, m_max=DEFAULT_MULT_M_MAX, **_):   # T12, C13
+    heads = _Heads()
     return _products(f"T12/C13 with n_max={n_max}, k_max={k_max}, s_max={s_max}, "
                      f"m_max={m_max}", range(k_max + 1), lambda k: range(n_max + 1),
                      m_max, range(1, s_max + 1),
-                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": ns, "m": ms})
+                     lambda k, ns, ms: {"k": k, "s": len(ns), "n": ns, "m": ms},
+                     lambda s, k, ns, n, ms, m:
+                     f'{{"k": {k}, "m": {heads[ms]}{m}], "n": {heads[ns]}{n}], "s": {s}}}')
 
 
 def _full(n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
@@ -426,11 +462,17 @@ def _full(n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
     """
     _capped(f"T14/C15 with n_max={n_max}, m_max={m_max}",
             ((m_max + 1) ** (n + 1) for n in range(n_max + 1)), FULL_PRODUCTS_MAX)
+    heads = _Heads()
+
+    def text(tail, part=None):
+        n, head, m = tail
+        extra = "" if part is None else f', "part": {_quote(part)}'
+        return f'{{"m": {heads[head]}{m}], "n": {n}{extra}}}'
     return (((None, tuple((i, n, m) for i, m in enumerate(head)),
               [((n, n, m), (n, head, m)) for m in range(m_max + 1)])
              for n in range(n_max + 1)
              for head in itertools.product(range(m_max + 1), repeat=n)),
-            lambda tail: {"n": tail[0], "m": [*tail[1], tail[2]]})
+            lambda tail: {"n": tail[0], "m": [*tail[1], tail[2]]}, text)
 
 
 # -- the catalog -------------------------------------------------------------------
@@ -482,10 +524,13 @@ SUITE_ORDER = tuple(dict.fromkeys(row.sid for row in _CATALOG))
 
 class _Part(NamedTuple):
     """What the reports of one catalog row on one sweep share: the suite, the
-    variant and `params`, which makes the params of a case from its key tail."""
+    variant, `params`, which makes the params of a case from its key tail, and
+    `text`, which writes them from the key tail as json.dumps(params,
+    sort_keys=True) does."""
     suite: str
     variant: str
     params: Callable[[tuple], dict]
+    text: Callable[[tuple], str]
 
     def report(self, case: tuple, lhs: int, rhs: int, den: int) -> IdentityReport:
         """The report of the row on a case whose sides are lhs and rhs over den."""
@@ -493,18 +538,35 @@ class _Part(NamedTuple):
                               Fraction(rhs, den), self.variant)
 
 
-def _sweep(runs, params, rows: list, cache: EulerCache) -> dict[str, tuple]:
+class CatalogError(RuntimeError):
+    """A formula of the catalog raised on a case of a sweep: a fault of the
+    program, which no range can cause (ranges are checked before any sweep)."""
+
+
+def _raises(row: _Suite, e: list, args: tuple) -> bool:
+    """Whether a formula of the catalog row raises on e and args = (k, s, T, K)."""
+    try:
+        for f in (row.rhs, row.lhs):
+            if f is not _ORACLE:
+                f(e, *args)
+    except Exception:
+        return True
+    return False
+
+
+def _sweep(runs, params, text, rows: list, cache: EulerCache) -> dict[str, tuple]:
     """The columns of each suite of `rows` on the cases of one family, whose
-    key tails `params` reads: per suite, (cases, parts), the cases (T, key
-    tail) in order, total degree then key tail, and per row of the suite, in
-    catalog order, (part, lhs, rhs), the numerators over 2^T of its two sides
-    on each case, both None where the text of either does not apply.
+    key tails `params` and `text` read: per suite, (cases, parts), the cases
+    (T, key tail) in order, total degree then key tail, and per row of the
+    suite, in catalog order, (part, lhs, rhs), the numerators over 2^T of its
+    two sides on each case, both None where the text of either does not apply.
     A prefix's share of T, K and the prefactor is made once per run, and so
     is its value row folded into W_L, L the run's largest T, the first time a
     case of the run reaches the oracle; the oracle runs at most once per case,
     none for a zero product.  Per-sweep caches hold each factor's share, each
     W_L and the literal sides: `side` evaluates a formula once per (k, s, T, K)
-    on `cache.scaled(T)`."""
+    on `cache.scaled(T)`.  A formula that raises raises `CatalogError`, naming
+    each suite with a formula that raises on the case, and its params."""
     values: dict = {}  # each factor's values, see _values
     keys: list = []  # the sort key (T, key tail) of each case
     columns = [([], []) for _ in rows]  # per row, the lhs and the rhs of each case
@@ -521,42 +583,58 @@ def _sweep(runs, params, rows: list, cache: EulerCache) -> dict[str, tuple]:
                     left := row.lhs if row.lhs is _ORACLE else side(row.lhs, args)) is None
                 else (left, right) for row in rows]
 
-    for k, prefix, cases in runs:
-        T0 = K0 = 0
-        c0 = 1
-        for f in prefix:
-            dT, dK, c = factor(*f)
-            T0, K0, c0 = T0 + dT, K0 + dK, c0 * c
-        s = len(prefix) + 1
-        q, L = None, 0  # the prefix folded into W_L, made for the first oracle row
-        for last, tail in cases:
-            dT, dK, c = factor(*last)
-            T, K = T0 + dT, K0 + dK
-            keys.append((T, tail))
-            scale = c0 * c
-            oracle = None
-            for (lhs, rhs), (left, right) in zip(columns, sides_of((k, s, T, K))):
-                if left is _ORACLE:
-                    if oracle is None:
-                        oracle = 0  # the value of a zero product, which needs no work
-                        if scale:
-                            if q is None:
-                                L = T0 + max(factor(*f)[0] for f, _ in cases)
-                                q = _folded(weights(L), values, prefix)
-                            oracle = _oracle(q, _values(values, last, L), L - T)
-                    left, right = oracle, right * scale
-                lhs.append(left)
-                rhs.append(right)
+    try:  # entered once, around the whole loop: nothing per case
+        for k, prefix, cases in runs:
+            T0 = K0 = 0
+            c0 = 1
+            for f in prefix:
+                dT, dK, c = factor(*f)
+                T0, K0, c0 = T0 + dT, K0 + dK, c0 * c
+            s = len(prefix) + 1
+            q, L = None, 0  # the prefix folded into W_L, made for the first oracle row
+            for last, tail in cases:
+                dT, dK, c = factor(*last)
+                T, K = T0 + dT, K0 + dK
+                keys.append((T, tail))
+                scale = c0 * c
+                oracle = None
+                for (lhs, rhs), (left, right) in zip(columns, sides_of((k, s, T, K))):
+                    if left is _ORACLE:
+                        if oracle is None:
+                            oracle = 0  # the value of a zero product, which needs no work
+                            if scale:
+                                if q is None:
+                                    L = T0 + max(factor(*f)[0] for f, _ in cases)
+                                    q = _folded(weights(L), values, prefix)
+                                oracle = _oracle(q, _values(values, last, L), L - T)
+                        left, right = oracle, right * scale
+                    lhs.append(left)
+                    rhs.append(right)
+    except Exception as exc:
+        e, args = cache.scaled(T), (k, s, T, K)
+        sids = dict.fromkeys(row.sid for row in rows if _raises(row, e, args))
+        raise CatalogError(f"{'/'.join(sids)} {text(tail)}: {type(exc).__name__}: {exc}") from exc
 
     order = sorted(range(len(keys)), key=keys.__getitem__)
     cases = list(map(keys.__getitem__, order))
     suites: dict[str, tuple] = {}
     for row, (lhs, rhs) in zip(rows, columns):
-        part = _Part(row.sid, row.edition or CORRECTED, params if row.extra is None else
-                     lambda tail, extra=row.extra: {**params(tail), **extra})
+        variant = row.edition or CORRECTED
+        part = (_Part(row.sid, variant, params, text) if row.extra is None else
+                _Part(row.sid, variant, lambda tail, extra=row.extra: {**params(tail), **extra},
+                      partial(text, **row.extra)))
         suites.setdefault(row.sid, (cases, []))[1].append(
             (part, list(map(lhs.__getitem__, order)), list(map(rhs.__getitem__, order))))
     return suites
+
+
+def _block_rows(cases: list, parts: list, unequal: bool) -> Iterator[tuple]:
+    """The rows of one block of `_Reports`, see `_Reports._rows`."""
+    for i, (T, tail) in enumerate(cases):
+        den = 1 << T
+        for part, lhs, rhs in parts:
+            if lhs[i] is not None and not (unequal and lhs[i] == rhs[i]):
+                yield part, tail, lhs[i], rhs[i], den
 
 
 class _Reports(Sequence):
@@ -565,10 +643,11 @@ class _Reports(Sequence):
     The blocks are the (cases, parts) of each suite; a block's reports are,
     case by case, one per part whose sides have values there.  `tally` holds
     (part, reports, unequal) for each part, counted once off its columns, in
-    which a side is None exactly where the other is.  Each report, with its
-    params dict and lists, is built when it is read; a read by index walks
-    the rows before it, `reversed` and `index` walk them once.  Equal to a
-    list of equal reports; `+` gives a list.
+    which a side is None exactly where the other is; `bit_length` reads the
+    longest integer off the columns too.  Each report, with its params dict
+    and lists, is built when it is read; a read by index walks the rows before
+    it, `reversed` and `index` walk them once.  Equal to a list of equal
+    reports; `+` gives a list.
     """
 
     def __init__(self, blocks: list) -> None:
@@ -579,20 +658,26 @@ class _Reports(Sequence):
     def __len__(self) -> int:
         return sum(count for _, count, _ in self.tally)
 
-    def _rows(self, unequal: bool = False) -> Iterator[tuple]:
+    def bit_length(self) -> int:
+        """The most bits of any integer a row holds, a side or the denominator
+        2^T, or more: the longest side in each column, and 2^T of each block's
+        last case, whose T is the block's largest."""
+        sides = (max(map(int.bit_length, filter(None, column)), default=0)
+                 for _, parts in self._blocks for _, lhs, rhs in parts for column in (lhs, rhs))
+        dens = (cases[-1][0] + 1 for cases, _ in self._blocks if cases)
+        return max(itertools.chain(sides, dens), default=0)
+
+    def _rows(self, unequal: bool = False, cap: Optional[int] = None) -> Iterator[tuple]:
         """(part, key tail, lhs, rhs, denominator) of each report, in order, the
         sides as integers over the denominator (`part.report(*row)` is the
         report; the CLI builds none); with `unequal`, only the rows whose sides
-        differ, and no block whose tally has none is read."""
+        differ, and no block whose tally has none is read; with `cap`, at most
+        `cap` rows of each block, and none past them is read."""
         fails = (fails for _, _, fails in self.tally)
-        for cases, parts in self._blocks:
-            if unequal and not sum(itertools.islice(fails, len(parts))):
-                continue
-            for i, (T, tail) in enumerate(cases):
-                den = 1 << T
-                for part, lhs, rhs in parts:
-                    if lhs[i] is not None and not (unequal and lhs[i] == rhs[i]):
-                        yield part, tail, lhs[i], rhs[i], den
+        return itertools.chain.from_iterable(
+            itertools.islice(_block_rows(cases, parts, unequal), cap)
+            for cases, parts in self._blocks
+            if not unequal or sum(itertools.islice(fails, len(parts))))
 
     def __iter__(self) -> Iterator[IdentityReport]:
         return itertools.starmap(_Part.report, self._rows())
@@ -671,8 +756,8 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     # make every family before sweeping any, so that a refused range
     # (PRODUCTS_MAX, FULL_PRODUCTS_MAX) costs nothing
     sweeps = [(family(**ranges), rows) for family, rows in families.items()]
-    for (runs, params), rows in sweeps:
-        blocks.update(_sweep(runs, params, rows, cache))
+    for (runs, params, text), rows in sweeps:
+        blocks.update(_sweep(runs, params, text, rows, cache))
     reports = _Reports([blocks[sid] for sid in wanted])
     swept = {part.suite for part, count, _ in reports.tally if count}
     empty = [sid for sid in wanted if sid not in swept]

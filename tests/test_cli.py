@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from fermibern import CORRECTED, IdentityReport, cli, identities
+from fermibern.identities import CatalogError
 from fermibern.cli import main
 
 
@@ -27,7 +29,8 @@ def _swept(suite, variant, params, lhs, rhs, T):
     """A `run_suites` result, kept as integer columns like a sweep's, that
     holds one report: the numerators lhs and rhs over 2^T, as given, so they
     may be far from lowest terms."""
-    part = identities._Part(suite, variant, lambda case: dict(params))
+    part = identities._Part(suite, variant, lambda case: dict(params),
+                            lambda case: json.dumps(params, sort_keys=True))
     return identities._Reports([([(T, ())], [(part, [lhs], [rhs])])])
 
 
@@ -171,17 +174,17 @@ class TestVerify:
         assert "result: PASS" in out
 
     @pytest.mark.parametrize("fmt, args, walks", [
-        ("table", ["--variant", "both"], 1),
-        ("json", ["--variant", "both"], 2),
-        ("csv", ["--variant", "both"], 2),
-        ("table", [], 0),
+        ("table", ["--variant", "both"], [{"unequal": True, "cap": 25}]),
+        ("json", ["--variant", "both"], [{}]),
+        ("csv", ["--variant", "both"], [{}]),
+        ("table", [], []),
     ], ids=["table", "json", "csv", "table-clean"])
     def test_verdict_is_computed_once(self, fmt, args, walks, capsys, monkeypatch):
         # the exit code and the table's counts are read off the per-part
         # tally, which walks no row; a table walks the unequal rows once only
-        # to list its failures, and json and csv walk all rows twice: to
-        # check that every value prints, then to print them; no walk reads a
-        # report's `equal`
+        # to list its failures, at most 25 per suite, and json and csv walk
+        # all rows once, to print them (the check that every value prints
+        # reads the columns); no walk reads a report's `equal`
         evaluations, passes = [], []
         equal = IdentityReport.equal
         monkeypatch.setattr(IdentityReport, "equal", property(
@@ -194,17 +197,17 @@ class TestVerify:
         out = capsys.readouterr().out
         rows = len(out.splitlines())
         assert code == 0
-        assert ("failures:" in out) == (walks == 1)
-        assert passes == ([{"unequal": True}] if walks == 1 else [{}] * walks)
+        assert ("failures:" in out) == (fmt == "table" and walks != [])
+        assert passes == walks
         assert evaluations == []
-        assert rows == 3 if walks == 0 else rows > 3  # a clean table: header, C13, result
+        assert rows == 3 if walks == [] else rows > 3  # a clean table: header, C13, result
 
     def test_verify_builds_no_report_per_row(self, capsys, monkeypatch):
         # the CLI reads the sweep's integer columns: an audit builds no
         # IdentityReport (76,897 once), clean or failing, and walks no row
         # when clean; the table prints its failures, at most 25 per suite,
         # straight from the unequal rows, in one walk that reads only the
-        # rows of the C13, T14 and C15 blocks
+        # rows of the C13, T14 and C15 blocks and stops each at 25 rows
         built, walks, read = [], [], []
         init = IdentityReport.__init__
         monkeypatch.setattr(IdentityReport, "__init__", lambda self, suite, *args:
@@ -220,9 +223,26 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "ALL", "--variant", "both", "--deterministic")
         assert (code, out.splitlines()[-1]) == (
             1, "result: FAIL (87381 comparisons, 10256 unequal)")
-        assert (built, walks, read) == ([], [{"unequal": True}], ["C13", "T14", "C15"])
+        assert (built, walks, read) == ([], [{"unequal": True, "cap": 25}],
+                                        ["C13", "T14", "C15"])
         listed = re.findall(r"^  (\S+) \[as-printed\] ", out, re.MULTILINE)
         assert Counter(listed) == {"C13": 25, "T14": 25, "C15": 25}
+
+    def test_the_table_reads_no_failure_past_the_listed_ones(self, capsys, monkeypatch):
+        # the both-editions table lists 25 of the 10,256 unequal rows of each
+        # failing suite, and the walk it reads them from yields those 75 only
+        yielded = []
+        rows_of = identities._Reports._rows
+
+        def counted(reports, **kwargs):
+            for row in rows_of(reports, **kwargs):
+                yielded.append(row[0].suite)
+                yield row
+
+        monkeypatch.setattr(identities._Reports, "_rows", counted)
+        code, out = run_cli(capsys, "verify", "ALL", "--variant", "both", "--deterministic")
+        assert code == 1 and "... and 8103 more failures in C13" in out
+        assert Counter(yielded) == {"C13": 25, "T14": 25, "C15": 25}
 
     def test_audit_peak_memory_stays_small(self, capsys):
         # the audit keeps two integers per comparison, not one report with a
@@ -352,6 +372,36 @@ class TestUsageErrors:
         assert "T1, T3, C13" in err
 
 
+class TestInternalError:
+    @pytest.mark.parametrize("formula, case, error", [
+        # reads past the table scaled(T), which ends at e_T
+        (lambda e, k, s, T, K: e[T + 1], '{"k": 0, "m": 0, "n": 0}',
+         "IndexError: list index out of range"),
+        # shifts by K - T, which is negative for every T > K
+        (lambda e, k, s, T, K: 1 << (K - T), '{"k": 0, "m": 1, "n": 0}',
+         "ValueError: negative shift count"),
+    ], ids=["index", "shift"])
+    def test_a_formula_that_raises_is_an_internal_error(self, formula, case, error, capsys,
+                                                        monkeypatch, tmp_path):
+        # a catalog fault is neither a failed comparison (1) nor bad usage
+        # (2): one stderr line names the suite whose formula raised, among
+        # the three swept by the same family, and the case; nothing is written
+        monkeypatch.setattr(identities, "_CATALOG", tuple(
+            row._replace(rhs=formula) if row.sid == "C7" else row
+            for row in identities._CATALOG))
+        target = tmp_path / "report"
+        for out_args in ([], ["--out", str(target)]):
+            code = main(["verify", "T5", "P6", "C7", "--n-max", "3", "--format", "json",
+                         *out_args])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (3, "")
+            assert captured.err == f"fermibern: internal error: C7 {case}: {error}\n"
+            assert not target.exists()
+        with pytest.raises(CatalogError) as info:
+            identities.run_suites("C7", n_max=3)
+        assert type(info.value.__cause__).__name__ == error.split(":")[0]
+
+
 class TestCostGuard:
     @pytest.mark.parametrize("argv, code", [
         (["verify", "P2", "--k-max", "1000000000"], 0),
@@ -431,10 +481,16 @@ class TestPrintLimit:
         captured = capsys.readouterr()
         assert captured.out == "" and "S_1343" in captured.err
 
-    def test_check_is_exact_at_the_limit(self, limit_640):
+    def test_check_is_exact_at_the_limit(self, limit_640, monkeypatch):
         # str() refuses a value of more than 640 digits, |v| >= 10^640, and
         # prints every smaller one, numerator or denominator, either sign;
-        # 2^2126 has 640 digits, 2^2127 has 641
+        # 2^2126 has 640 digits, 2^2127 has 641; each of these values has
+        # more than the 2,126 bits that always print, so the check walks the
+        # row and decides by converting it
+        walks = []
+        rows_of = identities._Reports._rows
+        monkeypatch.setattr(identities._Reports, "_rows", lambda reports, **kwargs:
+                            walks.append(kwargs) or rows_of(reports, **kwargs))
         widest = 10**640 - 1
         for lhs, rhs, T in [(widest, -widest, 0), (1, -1, 2126), (widest << 9, 0, 9)]:
             cli._check_printable(_swept("T1", CORRECTED, {"n": 1}, lhs, rhs, T))
@@ -444,6 +500,7 @@ class TestPrintLimit:
                 cli._check_printable(_swept("T1", CORRECTED, {"n": 1}, lhs, rhs, T))
             with pytest.raises(ValueError):
                 str(Fraction(lhs, 1 << T)), str(Fraction(rhs, 1 << T))
+        assert walks == [{}] * 7
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_the_printed_value_decides_not_the_stored_one(self, fmt, limit_640, capsys,

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import time
 from collections.abc import Sequence
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermibern import identities
+from fermibern import cli, identities
 from fermibern.euler import DEFAULT_CACHE, EulerCache
 from fermibern.cli import (_verdict, render_verify_csv, render_verify_json,
                            render_verify_table)
@@ -523,7 +524,8 @@ class TestReports:
         # a report read off a sweep's rows, stored over 2^11, equals the one
         # made of the same values in lowest terms
         r = IdentityReport("T1", {"n": 1}, Fraction(3, 2), Fraction(-1, 4))
-        read = identities._Part("T1", CORRECTED, lambda case: {"n": 1}).report(
+        read = identities._Part("T1", CORRECTED, lambda case: {"n": 1},
+                                lambda case: '{"n": 1}').report(
             (), 3 << 10, -1 << 9, 1 << 11)
         assert (read.lhs, read.rhs) == (Fraction(3, 2), Fraction(-1, 4))
         assert r == read == _swept("T1", CORRECTED, {"n": 1}, 3 << 10, -1 << 9, 11)[0]
@@ -800,15 +802,72 @@ class TestCatalogEngine:
         assert sink.largest <= 64 * 1024
         assert _sha256("".join(sink.parts)) == digest
 
+    def test_json_export_runs_no_json_encoder(self, full_audit, monkeypatch):
+        # each family writes a case's params text from its key tail, so the
+        # export of `verify ALL --variant both` hands no params dict to `json`
+        encoded = []
+        iterencode = json.JSONEncoder.iterencode
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", lambda self, o, *args, **kwargs:
+                            encoded.append(o) or iterencode(self, o, *args, **kwargs))
+        assert _sha256(_rendered(render_verify_json, full_audit)) == JSON_SHA256
+        assert encoded == []
+        json.dumps({"n": 1}, sort_keys=True)  # the patch does see an encoder run
+        assert encoded == [{"n": 1}]
+
+    def test_printability_is_read_off_the_columns(self, full_audit, monkeypatch):
+        # no integer of the export has more than 302 bits, far under the
+        # 2,126 bits that print at the lowest int-to-str limit (640 digits),
+        # so the check reads the columns and walks no row, at either limit
+        rows_of = identities._Reports._rows
+        walked = max(max(lhs.bit_length(), rhs.bit_length(), den.bit_length())
+                     for _, _, lhs, rhs, den in rows_of(full_audit))
+        assert full_audit.bit_length() == walked == 302
+        walks = []
+        monkeypatch.setattr(identities._Reports, "_rows", lambda reports, **kwargs:
+                            walks.append(kwargs) or rows_of(reports, **kwargs))
+        cli._check_printable(full_audit)
+        if hasattr(sys, "set_int_max_str_digits"):
+            old = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(640)
+            try:
+                cli._check_printable(full_audit)
+            finally:
+                sys.set_int_max_str_digits(old)
+        assert walks == []
+
+    def test_params_text_is_the_json_dumps_text(self):
+        # each family writes the params of a case as json.dumps(params,
+        # sort_keys=True) does, with the extra keys of each of its catalog
+        # rows and without, on every case of a small sweep; so does each part
+        # of the sweep, with its own extra keys
+        ranges = dict(n_max=4, k_max=2, s_max=3, m_max=2)
+        extras = {}  # per family: no extra keys, then each row's
+        for row in identities._CATALOG:
+            extras.setdefault(row.family, [{}]).extend([row.extra] if row.extra else [])
+        for family, family_extras in extras.items():
+            runs, params, text = family(**ranges)
+            tails = [tail for _, _, cases in runs for _, tail in cases]
+            assert tails
+            for extra in family_extras:
+                for tail in tails:
+                    assert text(tail, **extra) == json.dumps({**params(tail), **extra},
+                                                             sort_keys=True), (tail, extra)
+        reports = run_suites("ALL", variant="both", **ranges)
+        for cases, parts in reports._blocks:
+            for part, _, _ in parts:
+                for _, tail in cases:
+                    assert part.text(tail) == json.dumps(part.params(tail), sort_keys=True)
+
     def test_families_stream_their_cases(self):
         # 126,500 products of up to 250 factors, under PRODUCTS_MAX, take
         # seconds to list: the family must not list them first
         start = time.perf_counter()
-        runs, params = identities._mult(n_max=1, s_max=250, m_max=1)
+        runs, params, text = identities._mult(n_max=1, s_max=250, m_max=1)
         k, prefix, cases = next(runs)
         assert time.perf_counter() - start < 1.0
         assert (k, prefix, cases[0]) == (0, (), ((0, 0, 1), (1, 0, (), 0, (), 1)))
         assert params(cases[0][1]) == {"k": 0, "s": 1, "n": [0], "m": [1]}
+        assert text(cases[0][1]) == '{"k": 0, "m": [1], "n": [0], "s": 1}'
 
     @pytest.mark.parametrize("family, ranges", [
         ("_mult", dict(n_max=3, k_max=2, s_max=3, m_max=2)),
@@ -818,7 +877,7 @@ class TestCatalogEngine:
         # the runs, flattened, are the products combinations_with_replacement
         # (or product, for T14/C15) lists, in its order, and their key tails
         # sort them as the tuples (s, k, n_i..., m_i...) or (n, m_i...) would
-        runs, params_of = getattr(identities, family)(**ranges)
+        runs, params_of, _ = getattr(identities, family)(**ranges)
         cases = [(k, prefix + (last,), tail, params_of(tail))
                  for k, prefix, run in runs
                  for last, tail in run]
@@ -906,13 +965,13 @@ class TestCatalogEngine:
 
         def marked(family):
             def runs(**ranges):
-                made, params = family(**ranges)  # refuses a range when made, as before
+                made, params, text = family(**ranges)  # refuses a range when made, as before
 
                 def walk():
                     for run in made:
                         family_now[0] = family
                         yield run
-                return walk(), params
+                return walk(), params, text
             return runs
 
         formulas = {f: counted(f) for f in identities._F.values()}
