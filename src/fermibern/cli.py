@@ -46,6 +46,12 @@ def _nonneg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        numeral, limit = text.strip(), _digit_limit()
+        digits = numeral[numeral[:1] in ("+", "-"):].replace("_", "")
+        if digits.isdecimal() and len(digits) > limit > 0:  # int() refused its length
+            raise argparse.ArgumentTypeError(
+                f"too many digits: {digits[:10]}... has {len(digits)}, more than "
+                f"{limit}, the int-to-str limit (sys.set_int_max_str_digits)") from None
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
@@ -172,14 +178,10 @@ def _json_line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
 def _printed(reports: Sequence[IdentityReport]):
     """(suite, variant, params, lhs, rhs, equal) of each report as it prints:
     params as json.dumps(params, sort_keys=True), written by `part.text` from
-    the case's key tail with no params dict or encoder, once for the reports
-    of a case that share their text, and lhs and rhs reduced."""
-    make = case = text = None
-    for part, c, lhs, rhs, den in reports._rows():
-        if c is not case or part.text is not make:
-            make, case = part.text, c
-            text = make(c)
-        yield part.suite, part.variant, text, _text(lhs, den), _text(rhs, den), lhs == rhs
+    the case's key tail with no params dict or encoder, and lhs and rhs reduced."""
+    for part, case, lhs, rhs, den in reports._rows():
+        yield (part.suite, part.variant, part.text(case), _text(lhs, den), _text(rhs, den),
+               lhs == rhs)
 
 
 def render_verify_json(reports: Sequence[IdentityReport], out: TextIO) -> None:
@@ -216,9 +218,11 @@ def _cmd_padic_trace(args):
     f = _parse_poly(args.poly)
     # |S_N| grows with p^N, so the deepest row, one partial sum, is the
     # longest: a trace that cannot print is refused before any row is made
-    # (a longer middle row, from huge coefficients, fails its str() below)
+    # (a longer middle row, from huge coefficients, fails its str() below);
+    # a bad p is refused by partial_sum itself, with its own message
+    deepest = partial_sum(f, args.p, args.n_max)
     try:
-        str(partial_sum(f, args.p, args.n_max))
+        str(deepest)
     except ValueError:
         raise _limit_error(f"S_{args.n_max}") from None
     trace = convergence_trace(f, args.p, args.n_max)

@@ -139,12 +139,9 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         a, da, b, db = self._nums, self._den, other._nums, other._den
-        if da != db:
-            den = lcm(da, db)
-            a = [n * (den // da) for n in a]
-            b = [n * (den // db) for n in b]
-        else:
-            den = da
+        den = lcm(da, db)
+        a = [n * (den // da) for n in a]
+        b = [n * (den // db) for n in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -174,13 +171,10 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._nums, other._nums
-        if not a or not b:
-            return Poly()
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    out[j] += ai * bj
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
         return Poly._from_pair(out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -193,9 +187,8 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
             n >>= 1
-            if base_needed:
+            if n:
                 base = base * base
         return result
 
@@ -252,13 +245,8 @@ def _canonical(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     """The canonical pair of sum_i nums[i] x^i / den, den > 0."""
     while nums and not nums[-1]:
         nums.pop()
-    if not nums:
-        return (), 1
-    g = gcd(den, *nums) if den != 1 else 1
-    if g != 1:
-        nums = [n // g for n in nums]
-        den //= g
-    return tuple(nums), den
+    g = gcd(den, *nums)
+    return tuple([n // g for n in nums]), den // g
 
 
 def _coerce(value: object) -> "Poly":

@@ -56,15 +56,13 @@ def integrate(f: Poly, cache: EulerCache = DEFAULT_CACHE) -> Fraction:
     """I(f) = sum_j c_j E_j, exactly.
 
     With f = sum_j a_j x^j / den and e_j = 2^j E_j this is the one integer
-    sum_j a_j e_j 2^(d-j) over den 2^d, d the degree of f.  For integer f
-    the result has a power-of-two denominator, so it is p-integral for
-    every odd prime p.
+    sum_j a_j e_j 2^(d-j) over den 2^d, d the degree of f (0 for zero f,
+    whose sum is empty).  For integer f the result has a power-of-two
+    denominator, so it is p-integral for every odd prime p.
     """
-    if f.is_zero():
-        return Fraction(0)
-    d = f.degree
+    d = max(f.degree, 0)
     e = cache.scaled(d)
-    return Fraction(sum(a * e[j] << (d - j) for j, a in enumerate(f.numerators) if a),
+    return Fraction(sum(a * e[j] << (d - j) for j, a in enumerate(f.numerators)),
                     f.denominator << d)
 
 

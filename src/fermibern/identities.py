@@ -180,18 +180,15 @@ def _factor(k: int, n: int, m: int) -> tuple[int, int, int]:
 # 2^T I(f) is the values of f at 0..T dotted with the row W_T of `_weights`.
 
 def _values(memo: dict, f: tuple[int, int, int], L: int) -> list:
-    """B_{k,n}^m, f = (k, n, m), at x = 0..L or further, from `memo`, which
-    keeps the longest row made for f: (C(n,k) x^k (1-x)^(n-k))^m, 1 for m = 0
-    (even when k > n), 0 for k > n."""
+    """B_{k,n}^m, f = (k, n, m) with k <= n, at x = 0..L or further, from
+    `memo`, which keeps the longest row made for f: (C(n,k) x^k (1-x)^(n-k))^m.
+    A factor with k > n is 0, and its product is 0 before any value is read."""
     row = memo.setdefault(f, [])
     if len(row) <= L:
         k, n, m = f
-        if not m or k > n:
-            row.extend([int(not m)] * (L + 1 - len(row)))
-        else:
-            c = binom(n, k)
-            row.extend((c * x ** k * (1 - x) ** (n - k)) ** m
-                       for x in range(len(row), L + 1))
+        c = binom(n, k)
+        row.extend((c * x ** k * (1 - x) ** (n - k)) ** m
+                   for x in range(len(row), L + 1))
     return row
 
 

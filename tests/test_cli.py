@@ -327,6 +327,32 @@ class TestUsageErrors:
         assert "Traceback" not in captured.err
         assert not out_path.parent.exists()
 
+    @pytest.mark.parametrize("p, message", [
+        ("1", "p must be prime, got 1"),
+        ("2", "p must be odd"),
+        ("9", "p must be prime, got 9"),
+        ("3317044064679887385961981", "cannot decide whether 3317044064679887385961981 is prime"),
+    ])
+    def test_bad_prime_is_named_as_the_cause(self, p, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["padic-trace", "0,1", p, "3"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "int-to-str" not in captured.err
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                        reason="no int-to-str digit limit in this interpreter")
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_overlong_numeral_has_too_many_digits(self, sign, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["euler", sign + "7" * 5000])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too many digits" in captured.err and "has 5000" in captured.err
+        assert "not an integer" not in captured.err and len(captured.err) < 300
+
     @pytest.mark.parametrize("argv", [
         ["verify", "T14", "--n-max", "12", "--format", "json"],
         ["verify", "T1", "T3", "--n-max", "0", "--format", "csv"],

@@ -93,14 +93,30 @@ _wide_specs = st.lists(
 _SERIES_E = euler_numbers_by_series(90)
 
 # sequences of runs, each a prefix and the last factors that end it, as a
-# sweep hands them to the oracle: some factors vanish (k > n), some are 1
-# (m = 0), and the largest degree of a run rises and falls from run to run,
-# so that the value rows the runs share have to grow
+# sweep hands them to the oracle: some prefix factors vanish (k > n), some
+# factors are 1 (m = 0), a last factor has k <= n, as in every family, and
+# the largest degree of a run rises and falls from run to run, so that the
+# value rows the runs share have to grow
 _small_factors = st.tuples(st.integers(0, 7), st.integers(0, 6), st.integers(0, 2))
+_last_factors = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.just(n), st.integers(0, 2)))
 _sweep_like_runs = st.lists(
     st.tuples(st.lists(_small_factors, max_size=4),
-              st.lists(_small_factors, min_size=1, max_size=4)),
+              st.lists(_last_factors, min_size=1, max_size=4)),
     min_size=1, max_size=10)
+
+
+def _k_at_most_n(calls: list):
+    """`identities._values`, which first asserts that its factor has k <= n
+    and logs it in `calls`."""
+    values = identities._values
+
+    def checked(memo, f, L):
+        k, n, _ = f
+        assert k <= n, f
+        calls.append(f)
+        return values(memo, f, L)
+    return checked
 
 
 class TestOracle:
@@ -122,18 +138,39 @@ class TestOracle:
     @given(_sweep_like_runs)
     def test_sweep_like_runs_match_fraction_products(self, runs):
         # one value memo for the whole sequence, as in a sweep: each run folds
-        # its prefix into W_L once, L its largest total degree, and each case
-        # is one dot product and a shift by L - T
+        # its prefix into W_L once, L its largest total degree, the first time
+        # a case has a nonzero prefactor, and each such case is one dot
+        # product and a shift by L - T; a case with prefactor 0 is 0 unread
         values = {}
         for prefix, lasts in runs:
             T0 = sum(n * m for _, n, m in prefix)
             L = T0 + max(n * m for _, n, m in lasts)
-            q = identities._folded(identities._weights(L), values, prefix)
+            q = None
             for last in lasts:
+                want = bernstein_product_integral(prefix + [last], _SERIES_E)
+                if not math.prod(binom(n, k) ** m for k, n, m in prefix + [last]):
+                    assert want == 0
+                    continue
+                if q is None:
+                    q = identities._folded(identities._weights(L), values, prefix)
                 T = T0 + last[1] * last[2]
                 value = identities._oracle(q, identities._values(values, last, L), L - T)
-                assert Fraction(value, 1 << T) == bernstein_product_integral(
-                    prefix + [last], _SERIES_E)
+                assert Fraction(value, 1 << T) == want
+
+    def test_the_sweep_reads_values_only_for_k_at_most_n(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(identities, "_values", _k_at_most_n(calls))
+        assert _verdict(run_suites("ALL", variant="both"), True).ok
+        assert len(set(calls)) > 100  # the sweep's values went through the wrapper
+
+    @settings(max_examples=60, deadline=None)
+    @given(_wide_specs)
+    def test_oracle_integral_reads_values_only_for_k_at_most_n(self, spec):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(identities, "_values", _k_at_most_n(calls))
+            got = oracle_integral(spec)
+        assert got == bernstein_product_integral(spec.factors, _SERIES_E)
 
     def test_weights_give_the_series_euler_numbers(self):
         # sum_i i^n W_{T,i} = 2^T I(x^n) = 2^T E_n for every n <= T <= 90, with
