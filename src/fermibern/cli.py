@@ -28,7 +28,6 @@ import os
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii as _quote  # json.dumps's str encoder
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
@@ -37,7 +36,7 @@ from .euler import euler_number, euler_poly
 from .exactnum import Poly
 from .fermint import convergence_trace, integrate, partial_sum
 from .identities import (AS_PRINTED, BOTH, CORRECTED, SUITE_ORDER, CatalogError,
-                         IdentityReport, run_suites)
+                         IdentityReport, _line, run_suites)
 
 __all__ = ["main", "build_parser"]
 
@@ -45,16 +44,10 @@ __all__ = ["main", "build_parser"]
 def _nonneg(text: str) -> int:
     try:
         value = int(text)
-    except ValueError:
-        numeral, limit = text.strip(), _digit_limit()
-        digits = numeral[numeral[:1] in ("+", "-"):].replace("_", "")
-        if digits.isdecimal() and len(digits) > limit > 0:  # int() refused its length
-            raise argparse.ArgumentTypeError(
-                f"too many digits: {digits[:10]}... has {len(digits)}, more than "
-                f"{limit}, the int-to-str limit (sys.set_int_max_str_digits)") from None
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    except ValueError as exc:  # int() names a numeral's length, or quotes 200 characters
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
+        raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
@@ -62,7 +55,7 @@ def _parse_poly(text: str) -> Poly:
     try:
         return Poly.from_coeff_string(text)
     except ValueError as exc:
-        raise ValueError(f"bad polynomial {text!r}: {exc}") from None
+        raise ValueError(f"bad polynomial: {exc}") from None
 
 
 def _writes(text: str) -> Callable[[TextIO], None]:
@@ -83,28 +76,22 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", int)()
 
 
-def _limit_error(where: str) -> ValueError:
-    return ValueError(f"{where}: a value has more than {_digit_limit()} digits, "
-                      f"the int-to-str limit (sys.set_int_max_str_digits)")
-
-
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
     """Raise ValueError, before any output, if a printed (reduced) side of a
-    `run_suites` result passes the int-to-str limit (see `_digit_limit`).
-    An integer of at most `bits` bits prints, so a result whose longest
+    `run_suites` result passes the int-to-str limit (see `_digit_limit`),
+    with Python's own message after the suite and params of its row.  An
+    integer of at most `bits` bits prints, so a result whose longest
     integer, read off its columns (`bit_length`), has no more walks no row;
-    otherwise each row past that bound is converted with `_text`, as the
-    render will."""
+    otherwise each row is converted with `_text`, as the render will."""
     limit = _digit_limit()
     bits = limit * 3321928 // 1000000  # 2^bits <= 10^limit: shorter integers print
     if not limit or reports.bit_length() <= bits:
         return
     for part, case, lhs, rhs, den in reports._rows():
-        if max(lhs.bit_length(), rhs.bit_length(), den.bit_length()) > bits:
-            try:
-                _text(lhs, den), _text(rhs, den)
-            except ValueError:
-                raise _limit_error(f"{part.suite} {_params_text(part.params(case))}") from None
+        try:
+            _text(lhs, den), _text(rhs, den)
+        except ValueError as exc:
+            raise ValueError(f"{part.suite} {_params_text(part.params(case))}: {exc}") from None
 
 
 def _params_text(params: dict) -> str:
@@ -165,16 +152,6 @@ def render_verify_table(reports: Sequence[IdentityReport], verdict: _Verdict,
     return "\n".join(lines) + "\n"
 
 
-def _json_line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
-               equal: bool) -> str:
-    """The line `IdentityReport.to_json` (json.dumps with sorted keys) gives
-    for a report's six fields, from its printed sides and its params as
-    `json.dumps(params, sort_keys=True)`."""
-    return (f'{{"equal": {"true" if equal else "false"}, '
-            f'"lhs": "{lhs}", "params": {params_json}, "rhs": "{rhs}", '
-            f'"suite": {_quote(suite)}, "variant": {_quote(variant)}}}')
-
-
 def _printed(reports: Sequence[IdentityReport]):
     """(suite, variant, params, lhs, rhs, equal) of each report as it prints:
     params as json.dumps(params, sort_keys=True), written by `part.text` from
@@ -185,9 +162,9 @@ def _printed(reports: Sequence[IdentityReport]):
 
 
 def render_verify_json(reports: Sequence[IdentityReport], out: TextIO) -> None:
-    """Write one JSON line per report to `out`, as each is rendered."""
+    """Write each report's `IdentityReport.to_json` line to `out`, as it is rendered."""
     for row in _printed(reports):
-        out.write(_json_line(*row) + "\n")
+        out.write(_line(*row) + "\n")
 
 
 def render_verify_csv(reports: Sequence[IdentityReport], out: TextIO) -> None:
@@ -223,8 +200,8 @@ def _cmd_padic_trace(args):
     deepest = partial_sum(f, args.p, args.n_max)
     try:
         str(deepest)
-    except ValueError:
-        raise _limit_error(f"S_{args.n_max}") from None
+    except ValueError as exc:
+        raise ValueError(f"S_{args.n_max}: {exc}") from None
     trace = convergence_trace(f, args.p, args.n_max)
     if args.format == "csv":
         return 0, _writes(trace.to_csv())

@@ -22,13 +22,22 @@ __all__ = ["Poly", "binom", "expand_pow_product"]
 Coeff = Union[int, Fraction, str]
 
 
+def _quoted(text: str) -> str:
+    """repr(text), or past 40 characters the repr of its first 20 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def _parsed(c: object) -> Fraction:
     """A coefficient that is not an int or Fraction, as a Fraction: text such
     as "3/4" or "2.5" is read exactly, but exponent notation is refused, since
-    for "1e100000000" Fraction would build a 10^8-digit integer."""
+    for "1e100000000" Fraction would build a 10^8-digit integer.  An error
+    quotes a long text by `_quoted`, where Fraction's own would quote it whole."""
     if isinstance(c, str) and ("e" in c or "E" in c):
-        raise ValueError(f"malformed coefficient {c!r}: no exponent notation")
-    return Fraction(c)
+        raise ValueError(f"malformed coefficient {_quoted(c)}: no exponent notation")
+    try:
+        return Fraction(c)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace(repr(c), _quoted(str(c)))) from None
 
 
 # C(n, k); 0 for k > n, so an out-of-range B_{k,n} in a sweep has prefactor 0
@@ -90,11 +99,11 @@ class Poly:
         exponent notation refused."""
         parts = [p.strip() for p in text.split(",")]
         if "" in parts:
-            raise ValueError(f"malformed coefficient list: {text!r}")
+            raise ValueError(f"malformed coefficient list: {_quoted(text)}")
         try:
             return cls(parts)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+            raise ValueError(f"zero denominator in {_quoted(text)}") from None
 
     # -- basic queries --------------------------------------------------------
 

@@ -242,9 +242,8 @@ class IdentityReport:
 
     def to_json(self) -> str:
         """The six fields, `equal` included, as one `json.dumps` line with sorted keys."""
-        return json.dumps({"suite": self.suite, "params": self.params, "lhs": str(self.lhs),
-                           "rhs": str(self.rhs), "equal": self.equal, "variant": self.variant},
-                          sort_keys=True)
+        return _line(self.suite, self.variant, json.dumps(self.params, sort_keys=True),
+                     str(self.lhs), str(self.rhs), self.equal)
 
     @classmethod
     def from_json(cls, line: str) -> "IdentityReport":
@@ -266,6 +265,16 @@ class IdentityReport:
         if report.equal != d["equal"]:
             raise ValueError(f"inconsistent equal flag in {line!r}")
         return report
+
+
+def _line(suite: str, variant: str, params_json: str, lhs: str, rhs: str,
+          equal: bool) -> str:
+    """The `json.dumps` line, keys sorted, of a report's six fields, from its
+    printed sides and its params as `json.dumps(params, sort_keys=True)`: the
+    line of `IdentityReport.to_json` and of the CLI's JSON export."""
+    return (f'{{"equal": {"true" if equal else "false"}, '
+            f'"lhs": "{lhs}", "params": {params_json}, "rhs": "{rhs}", '
+            f'"suite": {_quote(suite)}, "variant": {_quote(variant)}}}')
 
 
 # -- the literal formulas ------------------------------------------------------
@@ -330,9 +339,9 @@ _F = {
 # as (last, key tail), where a factor (k_i, n_i, m_i) stands for
 # B_{k_i,n_i}^{m_i}; params(key tail) makes a new params dict of the case, and
 # text(key tail) is json.dumps(params(key tail), sort_keys=True), written as
-# one f-string in sorted key order.  text takes the `extra` keys of the catalog
-# rows of its family (EULER's check, T14's part) as keywords and writes them
-# where they sort.  The cases come in the order of `combinations_with_replacement`
+# one f-string in sorted key order.  Both take the `extra` keys of the catalog
+# rows of its family (EULER's check, T14's part) as keywords, params last and
+# text where they sort.  The cases come in the order of `combinations_with_replacement`
 # or `product` over all the factors, so `_sweep` handles a prefix once per run,
 # and evaluates its product only for a run that reaches an oracle row.  Sorted,
 # the key tails order the cases of one total degree.  A family ignores ranges
@@ -388,9 +397,9 @@ def _products(label, ks, n_range, m_max, counts, params, text):
                     yield k, prefix, [((k, n, m), (s, k, ns, n, ms, m))
                                       for _, n, m in (ends[prefix[-1]] if prefix else row)]
 
-    def params_of(tail):
+    def params_of(tail, **extra):
         _, k, ns, n, ms, m = tail
-        return params(k, [*ns, n], [*ms, m])
+        return {**params(k, [*ns, n], [*ms, m]), **extra}
 
     def text_of(tail, **extra):
         return text(*tail, **extra)
@@ -469,7 +478,7 @@ def _full(n_max=DEFAULT_FULL_N_MAX, m_max=DEFAULT_FULL_M_MAX, **_):
               [((n, n, m), (n, head, m)) for m in range(m_max + 1)])
              for n in range(n_max + 1)
              for head in itertools.product(range(m_max + 1), repeat=n)),
-            lambda tail: {"n": tail[0], "m": [*tail[1], tail[2]]}, text)
+            lambda tail, **extra: {"n": tail[0], "m": [*tail[1], tail[2]], **extra}, text)
 
 
 # -- the catalog -------------------------------------------------------------------
@@ -616,10 +625,9 @@ def _sweep(runs, params, text, rows: list, cache: EulerCache) -> dict[str, tuple
     cases = list(map(keys.__getitem__, order))
     suites: dict[str, tuple] = {}
     for row, (lhs, rhs) in zip(rows, columns):
-        variant = row.edition or CORRECTED
-        part = (_Part(row.sid, variant, params, text) if row.extra is None else
-                _Part(row.sid, variant, lambda tail, extra=row.extra: {**params(tail), **extra},
-                      partial(text, **row.extra)))
+        extra = row.extra or {}
+        part = _Part(row.sid, row.edition or CORRECTED, partial(params, **extra),
+                     partial(text, **extra))
         suites.setdefault(row.sid, (cases, []))[1].append(
             (part, list(map(lhs.__getitem__, order)), list(map(rhs.__getitem__, order))))
     return suites

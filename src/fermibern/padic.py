@@ -34,15 +34,16 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin to the prime bases 2..41.
 
     Exact for n < PRIME_TEST_LIMIT (about 3.3e24); any larger n raises
-    ValueError rather than get an answer that is only probable.
+    ValueError rather than get an answer that is only probable, naming n
+    by its bit length past 128 bits.  A base that divides n > 41 fails its
+    own round (b divides b^d mod n and its squares, never 1 or n - 1).
     """
     if n >= PRIME_TEST_LIMIT:
-        raise ValueError(f"cannot decide whether {n} is prime: "
+        name = n if n.bit_length() <= 128 else f"a {n.bit_length()}-bit number"
+        raise ValueError(f"cannot decide whether {name} is prime: "
                          f"the test is exact only below {PRIME_TEST_LIMIT}")
     if n <= _BASES[-1]:
         return n in _BASES
-    if any(n % b == 0 for b in _BASES):
-        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

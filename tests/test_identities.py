@@ -1047,6 +1047,28 @@ class TestCatalogEngine:
         assert calls == []
 
 
+# the params keys of each suite's reports in insertion order, which the
+# table's failure lines and demo 05 print: the family's keys, then the
+# catalog row's extra keys
+PARAMS_ORDER = {"EULER": ["n", "check"], "T1": ["n"], "P2": ["k", "n"], "T3": ["k", "n"],
+                "C4": ["k", "n"], "T5": ["k", "n", "m"], "P6": ["k", "n", "m"],
+                "C7": ["k", "n", "m"], "T8": ["k", "n", "m", "s"], "C9": ["k", "n", "m", "s"],
+                "T10": ["k", "s", "n"], "C11": ["k", "s", "n"], "T12": ["k", "s", "n", "m"],
+                "C13": ["k", "s", "n", "m"], "T14": ["n", "m", "part"], "C15": ["n", "m"]}
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, id="-".join([row.sid, *(row.extra or {}).values(),
+                                   *filter(None, [row.edition])]))
+    for row in identities._CATALOG])
+def test_params_keep_the_catalog_key_order(row):
+    reports = [r for r in run_suites(row.sid, variant="both", n_max=4, k_max=2, s_max=2, m_max=2)
+               if r.variant == (row.edition or CORRECTED)
+               and r.params.items() >= (row.extra or {}).items()]
+    assert reports
+    assert {tuple(r.params) for r in reports} == {tuple(PARAMS_ORDER[row.sid])}
+
+
 class _ShiftedTable:
     """The Euler table read one index up, or one down at the top end, so a
     shifted index never leaves the table and never wraps around."""

@@ -36,6 +36,12 @@ class TestPrimality:
         with pytest.raises(ValueError, match="only below"):
             is_prime(3317044064679887385961981)
 
+    def test_a_long_number_is_named_by_its_bit_length(self):
+        # 10^5000 is past the int-to-str limit: the message must not print it
+        with pytest.raises(ValueError, match="^cannot decide whether a 16610-bit number") as info:
+            is_prime(10**5000)
+        assert len(str(info.value)) < 300
+
 
 class TestValuation:
     def test_frozen(self):
