@@ -14,7 +14,7 @@ Exit codes: 0 success, 1 at least one identity comparison failed
 (as-printed failures are tolerated under --expect-typos), 2 bad usage,
 a requested suite that swept no rows, a number too long to print, or a
 failed write to stdout or --out (a closed pipe, a full disk, a missing
-directory), 3 an internal error: a catalog formula raised.
+directory), 3 an internal error: any other exception, a fault of the program.
 Polynomials are entered as comma-separated rational coefficients, lowest
 degree first: "0, 1" is x, "1, -2, 1" is (1-x)^2.
 """
@@ -71,19 +71,14 @@ def _text(num: int, den: int) -> str:
     return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
-def _digit_limit() -> int:
-    """The int-to-str limit (sys.set_int_max_str_digits); 0 means none."""
-    return getattr(sys, "get_int_max_str_digits", int)()
-
-
 def _check_printable(reports: Sequence[IdentityReport]) -> None:
     """Raise ValueError, before any output, if a printed (reduced) side of a
-    `run_suites` result passes the int-to-str limit (see `_digit_limit`),
-    with Python's own message after the suite and params of its row.  An
-    integer of at most `bits` bits prints, so a result whose longest
+    `run_suites` result passes the int-to-str limit (`limit` digits, 0 for
+    none), with Python's own message after the suite and params of its row.
+    An integer of at most `bits` bits prints, so a result whose longest
     integer, read off its columns (`bit_length`), has no more walks no row;
     otherwise each row is converted with `_text`, as the render will."""
-    limit = _digit_limit()
+    limit = getattr(sys, "get_int_max_str_digits", int)()
     bits = limit * 3321928 // 1000000  # 2^bits <= 10^limit: shorter integers print
     if not limit or reports.bit_length() <= bits:
         return
@@ -266,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--k-max", type=_nonneg, default=None)
     p_ver.add_argument("--s-max", type=_nonneg, default=None)
     p_ver.add_argument("--m-max", type=_nonneg, default=None)
-    p_ver.add_argument("--variant", choices=(CORRECTED, AS_PRINTED, BOTH),
+    p_ver.add_argument("--variant", metavar="{" + ",".join((CORRECTED, AS_PRINTED, BOTH)) + "}",
                        default=CORRECTED)
     p_ver.add_argument("--format", choices=("table", "json", "csv"),
                        default="table")
@@ -290,7 +285,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # each command does every step that can fail and returns its exit code
     # and render; a bad p, a refused sweep range, a number too long for
     # int-to-str conversion or a failed write is bad usage, in every subcommand,
-    # and a catalog formula that raises is an internal error
+    # and any other exception is an internal error
     try:
         code, render = args.func(args)
         with (open(out_path, "w", encoding="utf-8") if out_path
@@ -298,9 +293,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             render(out)
             out.flush()
         return code
-    except CatalogError as exc:
-        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:
@@ -310,6 +302,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.close(devnull)
         where = repr(out_path) if out_path else "stdout"
         parser.error(f"cannot write {where}: {exc.strerror or exc}")
+    except Exception as exc:  # a CatalogError's message names the exception it wraps
+        fault = exc if isinstance(exc, CatalogError) else f"{type(exc).__name__}: {exc}"
+        print(f"{parser.prog}: internal error: {fault}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -79,8 +79,8 @@ the one walk, runs only to print rows, list failures (reading failing suites
 only, and at most as many rows of each as are listed) or build reports; the
 CLI builds no report.  Each family also writes the params of a case as the
 text `json.dumps(params, sort_keys=True)` gives, straight from its key tail,
-so the JSON export encodes no params dict.  A formula that raises is a fault
-of the catalog, not of the input: the sweep raises `CatalogError`.
+so the JSON export encodes no params dict.  A formula, the Euler table or the
+oracle that raises in a sweep is a fault of the program: `CatalogError`.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,7 +99,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .bernstein import bernstein_poly
 from .euler import DEFAULT_CACHE, EulerCache
-from .exactnum import Poly, _parsed, binom
+from .exactnum import Poly, _parsed, _quoted, binom
 from .fermint import _weights
 
 __all__ = [
@@ -359,13 +360,16 @@ class _Heads(dict):
 
 
 def _capped(label: str, counts, limit: int) -> None:
-    """Refuse the sweep `label` once the running sum of `counts` passes `limit`."""
+    """Refuse the sweep `label` once the running sum of `counts` passes `limit`;
+    a range past 40 digits is named by its length, a total past 133 bits by 2^k."""
     total = 0
     for count in counts:
         total += count
         if total > limit:
-            raise ValueError(f"{label} would sweep at least {total} products, "
-                             f"more than the {limit} allowed")
+            size = total if total.bit_length() <= 133 else f"2^{total.bit_length() - 1}"
+            message = (f"{label} would sweep at least {size} products, "
+                       f"more than the {limit} allowed")
+            raise ValueError(re.sub(r"\d{41,}", lambda m: f"<{len(m[0])} digits>", message))
 
 
 def _products(label, ks, n_range, m_max, counts, params, text):
@@ -379,13 +383,13 @@ def _products(label, ks, n_range, m_max, counts, params, text):
     Returns (runs, params of a key tail, text of a key tail).
 
     Not a generator: the case count, sum_k sum_s C(width_k + s - 1, s) with
-    width_k = len(n_range(k)) m_max, is checked when the family is made.
+    width_k = |n_range(k)| m_max, is checked when the family is made.
     Widths never grow with k, so both walks end at the first k with no case.
     """
     def live():
         return itertools.takewhile(lambda k: counts and n_range(k) and m_max, ks)
-    _capped(label, (math.comb(len(n_range(k)) * m_max + s - 1, s)
-                    for k in live() for s in counts), PRODUCTS_MAX)
+    _capped(label, (math.comb((r.stop - r.start) * m_max + s - 1, s)  # len(r) can overflow
+                    for k in live() for r in [n_range(k)] for s in counts), PRODUCTS_MAX)
 
     def runs():
         for k in live():
@@ -545,19 +549,8 @@ class _Part(NamedTuple):
 
 
 class CatalogError(RuntimeError):
-    """A formula of the catalog raised on a case of a sweep: a fault of the
-    program, which no range can cause (ranges are checked before any sweep)."""
-
-
-def _raises(row: _Suite, e: list, args: tuple) -> bool:
-    """Whether a formula of the catalog row raises on e and args = (k, s, T, K)."""
-    try:
-        for f in (row.rhs, row.lhs):
-            if f is not _ORACLE:
-                f(e, *args)
-    except Exception:
-        return True
-    return False
+    """A formula, the Euler table or the oracle raised in a sweep: a fault of
+    the program, which no range can cause (ranges are checked before any sweep)."""
 
 
 def _sweep(runs, params, text, rows: list, cache: EulerCache) -> dict[str, tuple]:
@@ -570,25 +563,35 @@ def _sweep(runs, params, text, rows: list, cache: EulerCache) -> dict[str, tuple
     is its value row folded into W_L, L the run's largest T, the first time a
     case of the run reaches the oracle; the oracle runs at most once per case,
     none for a zero product.  Per-sweep caches hold each factor's share, each
-    W_L and the literal sides: `side` evaluates a formula once per (k, s, T, K)
-    on `cache.scaled(T)`.  A formula that raises raises `CatalogError`, naming
-    each suite with a formula that raises on the case, and its params."""
+    W_L and the sides of each (k, s, T, K), where `sides_of` runs each formula
+    once on one `cache.scaled(T)` read.  A fault raises `CatalogError`, naming
+    the suites whose rows hold the formula that raised (else every suite),
+    the params of the case, if one was reached, and the exception."""
     values: dict = {}  # each factor's values, see _values
     keys: list = []  # the sort key (T, key tail) of each case
     columns = [([], []) for _ in rows]  # per row, the lhs and the rhs of each case
     factor = lru_cache(maxsize=None)(_factor)
     weights = lru_cache(maxsize=None)(_weights)
-    # a formula's value on a case, args = (k, s, T, K); no index it reads exceeds T
-    side = lru_cache(maxsize=None)(lambda f, args: f(cache.scaled(args[2]), *args))
+    suspects = "/".join(dict.fromkeys(row.sid for row in rows))  # a fault's suites
 
     @lru_cache(maxsize=None)
     def sides_of(args: tuple) -> list:
-        """Each row's (lhs, rhs) on a case, _ORACLE or a formula's value, both
-        None where either does not apply; a left one runs only where the right does."""
-        return [(None, None) if (right := side(row.rhs, args)) is None or (
-                    left := row.lhs if row.lhs is _ORACLE else side(row.lhs, args)) is None
-                else (left, right) for row in rows]
+        """Each row's (lhs, rhs) on a case, args = (k, s, T, K): _ORACLE or a
+        formula's value, both None where either does not apply; a left one runs
+        only where the right does, and each formula at most once, on e_0..e_T."""
+        e, memo = cache.scaled(args[2]), {_ORACLE: _ORACLE}
 
+        def side(f: Callable) -> Optional[int]:
+            nonlocal suspects
+            try:
+                return memo[f] if f in memo else memo.setdefault(f, f(e, *args))
+            except Exception:  # charged to the suites whose rows hold f
+                suspects = "/".join(dict.fromkeys(r.sid for r in rows if f in (r.lhs, r.rhs)))
+                raise
+        return [(None, None) if (right := side(row.rhs)) is None
+                or (left := side(row.lhs)) is None else (left, right) for row in rows]
+
+    tail = None  # the case being swept, None between runs
     try:  # entered once, around the whole loop: nothing per case
         for k, prefix, cases in runs:
             T0 = K0 = 0
@@ -616,10 +619,10 @@ def _sweep(runs, params, text, rows: list, cache: EulerCache) -> dict[str, tuple
                         left, right = oracle, right * scale
                     lhs.append(left)
                     rhs.append(right)
+            tail = None
     except Exception as exc:
-        e, args = cache.scaled(T), (k, s, T, K)
-        sids = dict.fromkeys(row.sid for row in rows if _raises(row, e, args))
-        raise CatalogError(f"{'/'.join(sids)} {text(tail)}: {type(exc).__name__}: {exc}") from exc
+        case = "" if tail is None else f" {text(tail)}"
+        raise CatalogError(f"{suspects}{case}: {type(exc).__name__}: {exc}") from exc
 
     order = sorted(range(len(keys)), key=keys.__getitem__)
     cases = list(map(keys.__getitem__, order))
@@ -739,11 +742,11 @@ def run_suites(ids: Union[str, Sequence[str]], *,
     if isinstance(ids, str):
         ids = [ids]
     if variant not in (CORRECTED, AS_PRINTED, BOTH):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise ValueError(f"unknown variant {_quoted(str(variant))}")
     variants = (CORRECTED, AS_PRINTED) if variant == BOTH else (variant,)
     for sid in ids:
         if sid != "ALL" and sid not in SUITE_ORDER:
-            raise ValueError(f"unknown suite id {sid!r}")
+            raise ValueError(f"unknown suite id {_quoted(str(sid))}")
     wanted = [sid for sid in SUITE_ORDER if sid in ids or "ALL" in ids]
     if not wanted:
         raise ValueError("no suite requested")

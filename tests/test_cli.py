@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from fermibern import CORRECTED, IdentityReport, cli, identities
+from fermibern import CORRECTED, IdentityReport, cli, fermint, identities
+from fermibern.euler import EulerCache
+from fermibern.exactnum import binom
 from fermibern.identities import CatalogError
 from fermibern.cli import main
 
@@ -364,17 +366,42 @@ class TestUsageErrors:
         (["integrate", "1e" + "1" * 20000], ["'1e111111111111111111'... (20002 characters)",
                                             "no exponent notation"]),
         (["integrate", "7" * 4000 + "/0"], ["zero denominator", "(4002 characters)"]),
+        (["verify", "T" * 20000],
+         ["unknown suite id", "'TTTTTTTTTTTTTTTTTTTT'... (20000 characters)"]),
+        (["verify", "T1", "--variant", "v" * 20000],
+         ["unknown variant", "'vvvvvvvvvvvvvvvvvvvv'... (20000 characters)"]),
         pytest.param(["integrate", "7" * 20000], ["20000", str(getattr(
             sys, "get_int_max_str_digits", int)())], marks=pytest.mark.skipif(
                 not getattr(sys, "get_int_max_str_digits", int)(),
                 reason="no int-to-str digit limit in this interpreter")),
     ], ids=["p-4000-digits", "poly-20000-x", "poly-bad-last-item", "poly-empty-item",
-            "poly-exponent", "poly-zero-denominator", "poly-20000-digits"])
+            "poly-exponent", "poly-zero-denominator", "suite-20000-T", "variant-20000-v",
+            "poly-20000-digits"])
     def test_a_long_argument_is_named_by_its_size(self, argv, named, capsys):
         # the error names the cause and the argument's size, or the short
         # item at fault, and quotes no long argument whole
         with pytest.raises(SystemExit) as info:
             main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(fact in captured.err for fact in named), captured.err
+        assert len(captured.err) < 300
+
+    @pytest.mark.parametrize("argv, named", [
+        (["verify", "T1", "--n-max", "1" + "0" * 19],
+         ["T1 with n_max=10000000000000000000", "at least 10000000000000000000 products"]),
+        (["verify", "T1", "--n-max", "9" * 4000],
+         ["T1 with n_max=<4000 digits>", "at least 2^13287 products"]),
+        (["verify", "T12", "--m-max", "9" * 4000], ["m_max=<4000 digits>", "at least 2^"]),
+    ], ids=["n-max-20-digits", "n-max-4000-digits", "m-max-4000-digits"])
+    def test_a_huge_range_is_refused_at_once(self, argv, named, capsys):
+        # counted without len(), which overflows past sys.maxsize, and named
+        # by size: neither the range nor the product count is printed whole
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert time.perf_counter() - start < 2.0
         assert info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -455,6 +482,63 @@ class TestInternalError:
         with pytest.raises(CatalogError) as info:
             identities.run_suites("C7", n_max=3)
         assert type(info.value.__cause__).__name__ == error.split(":")[0]
+
+    @staticmethod
+    def _one_line(capsys, *argv) -> str:
+        """The stderr of a run that must exit 3: one line, and no output."""
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.err.startswith("fermibern: internal error: ")
+        return captured.err
+
+    def test_a_table_fault_is_an_internal_error(self, capsys, monkeypatch):
+        # not bad usage (2), although the table raises ValueError: the sweep
+        # reads the table once per case key and never again after a fault
+        def scaled(self, n):
+            raise ValueError("Euler number index must be nonnegative")
+        monkeypatch.setattr(EulerCache, "scaled", scaled)
+        assert self._one_line(capsys, "verify", "ALL") == (
+            'fermibern: internal error: EULER {"n": 0}: '
+            'ValueError: Euler number index must be nonnegative\n')
+
+    def test_a_fault_before_the_first_case_is_an_internal_error(self, capsys, monkeypatch):
+        # the first prefix of T5, B_{0,0}, divides by n - k = 0 before any
+        # case of the sweep is reached, so no case is named
+        monkeypatch.setattr(identities, "_factor",
+                            lambda k, n, m: (n * m, k * m, binom(n, k) ** m // (n - k)))
+        assert self._one_line(capsys, "verify", "T5") == (
+            "fermibern: internal error: T5: ZeroDivisionError: "
+            "integer division or modulo by zero\n")
+
+    def test_an_oracle_fault_is_charged_to_every_suite_of_the_sweep(self, capsys,
+                                                                     monkeypatch):
+        def weights(T):
+            raise RuntimeError("no weights")
+        monkeypatch.setattr(identities, "_weights", weights)
+        assert self._one_line(capsys, "verify", "T5", "P6", "C7", "--n-max", "3") == (
+            'fermibern: internal error: T5/P6/C7 {"k": 0, "m": 0, "n": 0}: '
+            'RuntimeError: no weights\n')
+
+    def test_a_shared_formula_names_each_suite_that_holds_it(self, capsys, monkeypatch):
+        # _F["T5"] is the right side of T5 and of C7
+        def t5(e, k, s, T, K):
+            return e[T + 1]
+        monkeypatch.setattr(identities, "_CATALOG", tuple(
+            row._replace(rhs=t5) if row.rhs is identities._F["T5"] else row
+            for row in identities._CATALOG))
+        assert self._one_line(capsys, "verify", "T5", "P6", "C7", "--n-max", "3") == (
+            'fermibern: internal error: T5/C7 {"k": 0, "m": 0, "n": 0}: '
+            'IndexError: list index out of range\n')
+
+    def test_a_failed_self_check_is_an_internal_error(self, capsys, monkeypatch):
+        # weights one off in size break partial_sum's denominator check
+        weights = fermint._weights
+        monkeypatch.setattr(fermint, "_weights",
+                            lambda T: [w + (-1) ** i for i, w in enumerate(weights(T))])
+        err = self._one_line(capsys, "padic-trace", "1/3,1", "5", "3")
+        assert err.startswith("fermibern: internal error: ArithmeticError: S_3 = ")
 
 
 class TestCostGuard:
